@@ -34,15 +34,7 @@ from .preprocess import (
     preprocess_recording,
     quantize,
 )
-from .encoder import (
-    EncodedNGram,
-    NGramWindow,
-    encode_channel,
-    encode_patient,
-    encode_temporal,
-    encode_window,
-    segment,
-)
+from .encoder import encode_windows
 from .classifier import (
     EvalReport,
     PatientPrediction,
@@ -53,7 +45,6 @@ from .classifier import (
     TrainedModel,
     build_memories,
     classify_patient,
-    classify_window,
     evaluate,
     incremental_sweep,
     run_trial,

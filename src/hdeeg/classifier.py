@@ -9,15 +9,14 @@ half of its windows got the true label.
 """
 
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .common import Label, check_seed, derive_seed, make_rng
 from .dataio import DatasetManifest, DataValidationError, split
-from .encoder import EncodedNGram, encode_patient
-from .memories import AssociativeMemory, ContinuousItemMemory, ItemMemory, QueryResult
+from .encoder import encode_windows
+from .memories import AssociativeMemory, ContinuousItemMemory, ItemMemory
 from .preprocess import (
     ChannelStats,
     EegRecording,
@@ -37,7 +36,6 @@ __all__ = [
     "SweepResult",
     "build_memories",
     "train",
-    "classify_window",
     "classify_patient",
     "summarize",
     "evaluate",
@@ -226,8 +224,8 @@ def train(
     im, cim = build_memories(params, channels)
     am = AssociativeMemory(params.dimension, params.gate_threshold)
     for rec in train_set:
-        for enc in encode_patient(rec, im, cim, params.ngram_size):
-            am.update(enc.vector, enc.label)
+        for vector in encode_windows(rec, im, cim, params.ngram_size):
+            am.update(vector, rec.label)
     return TrainedModel(
         params=params,
         item_memory=im,
@@ -239,20 +237,14 @@ def train(
     )
 
 
-def classify_window(model: TrainedModel, encoded) -> QueryResult:
-    """Nearest class for one encoded window."""
-    vector = encoded.vector if isinstance(encoded, EncodedNGram) else encoded
-    return model.memory.query(vector)
-
-
 def classify_patient(model: TrainedModel, rec: QuantizedRecording) -> PatientPrediction:
     """Query every window of a recording and take the majority label.
 
     Ties on the majority go to CONTROL; correctness is the stricter
     more-than-half rule against the true label.
     """
-    encs = encode_patient(rec, model.item_memory, model.level_memory, model.params.ngram_size)
-    results = tuple(model.memory.query(e.vector) for e in encs)
+    vectors = encode_windows(rec, model.item_memory, model.level_memory, model.params.ngram_size)
+    results = tuple(model.memory.query(v) for v in vectors)
     return _prediction_from_results(rec.patient_id, rec.label, results)
 
 
@@ -300,21 +292,12 @@ def summarize(predictions) -> EvalReport:
     )
 
 
-def evaluate(model: TrainedModel, test_set, max_workers: int = 1) -> EvalReport:
-    """Classify every test patient and summarize.
-
-    With max_workers > 1 patients are classified in a thread pool; results
-    are reduced in input order, so the report does not depend on timing.
-    """
+def evaluate(model: TrainedModel, test_set) -> EvalReport:
+    """Classify every test patient, in the order given, and summarize."""
     test_set = list(test_set)
     if not test_set:
         raise ValueError("test set is empty")
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            predictions = list(pool.map(lambda r: classify_patient(model, r), test_set))
-    else:
-        predictions = [classify_patient(model, rec) for rec in test_set]
-    return summarize(predictions)
+    return summarize([classify_patient(model, rec) for rec in test_set])
 
 
 def _prepare(recordings, stats_pool, params: PipelineParams):
@@ -342,7 +325,6 @@ def run_trial(
     test_counts,
     *,
     stats_scope: str = "train",
-    max_workers: int = 1,
 ):
     """Split, preprocess, train, evaluate; returns (model, report).
 
@@ -367,7 +349,7 @@ def run_trial(
     q_train = quantized[: len(train_raw)]
     q_test = quantized[len(train_raw):]
     model = train(q_train, params, stats, train_ids=train_ids, test_ids=test_ids)
-    report = evaluate(model, q_test, max_workers=max_workers) if q_test else None
+    report = evaluate(model, q_test) if q_test else None
     return model, report
 
 
@@ -403,12 +385,12 @@ def _lenient_accuracy(am: AssociativeMemory, patient_windows, labels) -> float:
     """
     have = [l for l in (Label.ADHD, Label.CONTROL) if am.bundle_count(l) > 0]
     correct_patients = 0
-    for encs, true_label in zip(patient_windows, labels):
+    for vectors, true_label in zip(patient_windows, labels):
         if len(have) == 2:
-            correct = sum(1 for e in encs if am.query(e.vector).label is true_label)
+            correct = sum(1 for v in vectors if am.query(v).label is true_label)
         else:
-            correct = len(encs) if have[0] is true_label else 0
-        if 2 * correct > len(encs):
+            correct = len(vectors) if have[0] is true_label else 0
+        if 2 * correct > len(vectors):
             correct_patients += 1
     return 100.0 * correct_patients / len(patient_windows)
 
@@ -424,7 +406,6 @@ def incremental_sweep(
     params: PipelineParams,
     stratified: bool = True,
     stats_scope: str = "train",
-    max_workers: int = 1,
 ) -> SweepResult:
     """Accuracy as a function of training-set size.
 
@@ -494,13 +475,13 @@ def incremental_sweep(
         q_train = quantized[: len(train_order)]
         q_test = quantized[len(train_order):]
         im, cim = build_memories(params_r, manifest.channels)
-        test_encodings = [encode_patient(q, im, cim, params_r.ngram_size) for q in q_test]
+        test_encodings = [encode_windows(q, im, cim, params_r.ngram_size) for q in q_test]
         test_labels = [q.label for q in q_test]
         am = AssociativeMemory(params_r.dimension, params_r.gate_threshold)
         accuracies = []
         for q in q_train:
-            for enc in encode_patient(q, im, cim, params_r.ngram_size):
-                am.update(enc.vector, enc.label)
+            for vector in encode_windows(q, im, cim, params_r.ngram_size):
+                am.update(vector, q.label)
             accuracies.append(_lenient_accuracy(am, test_encodings, test_labels))
         return SweepRun(
             run_seed=run_seed,
@@ -509,11 +490,7 @@ def incremental_sweep(
             accuracies=tuple(accuracies),
         )
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            run_results = list(pool.map(one_run, range(runs)))
-    else:
-        run_results = [one_run(r) for r in range(runs)]
+    run_results = [one_run(r) for r in range(runs)]
     rows = []
     for k in range(1, max_train + 1):
         samples = [run.accuracies[k - 1] for run in run_results]

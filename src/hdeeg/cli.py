@@ -35,6 +35,7 @@ from .preprocess import (
     downsample_mean,
     drop_initial,
     preprocess_recording,
+    quantize,
 )
 
 EXIT_OK = 0
@@ -153,13 +154,7 @@ def cmd_preprocess(args) -> int:
             clip(drop_initial(rec, params.drop_samples), stats), params.downsample_factor
         )
         signals[rec.patient_id] = conditioned
-        levels[rec.patient_id] = preprocess_recording(
-            rec,
-            stats,
-            drop_samples=params.drop_samples,
-            downsample_factor=params.downsample_factor,
-            level_count=params.level_count,
-        )
+        levels[rec.patient_id] = quantize(conditioned, stats, params.level_count)
     out.mkdir(parents=True, exist_ok=True)
     (out / "signals").mkdir(exist_ok=True)
     (out / "levels").mkdir(exist_ok=True)
@@ -176,16 +171,7 @@ def cmd_preprocess(args) -> int:
         out / "stats.json",
         {
             "params": params.to_dict(),
-            "channel_stats": [
-                {
-                    "channel": s.channel,
-                    "clip_low": s.clip_low,
-                    "clip_high": s.clip_high,
-                    "quant_min": s.quant_min,
-                    "quant_max": s.quant_max,
-                }
-                for s in stats
-            ],
+            "channel_stats": [s.to_dict() for s in stats],
             "patients": [p.id for p in manifest.patients],
         },
     )
@@ -204,7 +190,6 @@ def cmd_train(args) -> int:
         train_counts,
         test_counts,
         stats_scope=args.stats_scope,
-        max_workers=args.threads,
     )
     save_model(model, args.out)
     line = f"trained on {len(model.train_ids)} patients, model written to {args.out}"
@@ -233,7 +218,7 @@ def cmd_eval(args) -> int:
         )
         for i in model.test_ids
     ]
-    report = evaluate(model, q_test, max_workers=args.threads)
+    report = evaluate(model, q_test)
     tree = {
         "dataset": manifest.name,
         "params": model.params.to_dict(),
@@ -263,7 +248,6 @@ def cmd_sweep(args) -> int:
         params=params,
         stratified=not args.uniform_test,
         stats_scope=args.stats_scope,
-        max_workers=args.threads,
     )
     lines = ["k,mean_acc,std"]
     lines.extend(f"{row.k},{row.mean_acc!r},{row.std!r}" for row in result.rows)
@@ -281,16 +265,7 @@ def cmd_inspect_model(args) -> int:
     tree = {
         "params": model.params.to_dict(),
         "channels": list(model.channels),
-        "channel_stats": [
-            {
-                "channel": s.channel,
-                "clip_low": s.clip_low,
-                "clip_high": s.clip_high,
-                "quant_min": s.quant_min,
-                "quant_max": s.quant_max,
-            }
-            for s in model.channel_stats
-        ],
+        "channel_stats": [s.to_dict() for s in model.channel_stats],
         "bundle_counts": {
             str(label): model.memory.bundle_count(label)
             for label in (Label.ADHD, Label.CONTROL)
@@ -341,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     _opt(p, "--test-control", type=int, default=10, help="control patients held out for testing")
     _opt(p, "--stats-scope", type=str, default="train", choices=["train", "all"],
          help="recordings used for clip and quantization statistics")
-    _opt(p, "--threads", type=int, default=1, help="worker threads for evaluation")
     _add_pipeline_options(p)
     p.set_defaults(func=cmd_train)
 
@@ -349,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     _opt(p, "--manifest", type=str, required=True, help="dataset directory or manifest path")
     _opt(p, "--model", type=str, required=True, help="model snapshot path")
     _opt(p, "--report", type=str, required=True, help="JSON report output path")
-    _opt(p, "--threads", type=int, default=1, help="worker threads for evaluation")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="accuracy as a function of training-set size")
@@ -362,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
          help="sample the test set uniformly instead of stratified")
     _opt(p, "--stats-scope", type=str, default="train", choices=["train", "all"],
          help="recordings used for clip and quantization statistics")
-    _opt(p, "--threads", type=int, default=1, help="worker threads across runs")
     _add_pipeline_options(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -7,136 +7,58 @@ bound with the channel's item vector, and the per-channel vectors of one
 window index are bundled into a single integer vector for that window.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import hv
-from .common import Label
 from .memories import ContinuousItemMemory, ItemMemory
 from .preprocess import QuantizedRecording
 
-__all__ = [
-    "NGramWindow",
-    "EncodedNGram",
-    "segment",
-    "encode_temporal",
-    "encode_channel",
-    "encode_window",
-    "encode_patient",
-]
+__all__ = ["encode_windows"]
 
 
-@dataclass(frozen=True, eq=False)
-class NGramWindow:
-    """One n-sample run of level indices from a single channel."""
+def encode_windows(
+    rec: QuantizedRecording, im: ItemMemory, cim: ContinuousItemMemory, ngram_size: int
+) -> np.ndarray:
+    """Encode every window of a recording; row w of the result is window w.
 
-    levels: np.ndarray  # (n,) ints
-    channel: int
-    index: int
-
-
-@dataclass(frozen=True, eq=False)
-class EncodedNGram:
-    """Bundled window vector with its provenance."""
-
-    vector: np.ndarray  # (dimension,) int64, components bounded by channel count
-    patient_id: str
-    index: int
-    label: Label
-
-
-def segment(rec: QuantizedRecording, ngram_size: int):
-    """Split each channel into non-overlapping windows of ``ngram_size``.
-
-    Returns a list with one inner list of NGramWindow per channel, windows
-    in temporal order.  The sample count must divide evenly.
+    Returns a (windows, dimension) int64 matrix.  Channels are bound to
+    their item vectors by name, so the column order of ``rec.levels``
+    only has to match ``rec.channels``.  Sample t of n (1-based)
+    contributes its level vector rotated right by n - t: the running
+    product of a channel is rotated one step before each new factor,
+    which gives the older factors one extra rotation per remaining step.
     """
     if ngram_size < 1:
         raise ValueError(f"ngram size must be at least 1, got {ngram_size}")
-    n_samples, n_channels = rec.levels.shape
-    if n_samples % ngram_size != 0:
-        raise ValueError(
-            f"{rec.patient_id}: {n_samples} samples not divisible by ngram size {ngram_size}"
-        )
-    count = n_samples // ngram_size
-    out = []
-    for ci in range(n_channels):
-        column = rec.levels[:, ci]
-        out.append(
-            [
-                NGramWindow(levels=column[w * ngram_size : (w + 1) * ngram_size], channel=ci, index=w)
-                for w in range(count)
-            ]
-        )
-    return out
-
-
-def encode_temporal(window: NGramWindow, cim: ContinuousItemMemory) -> np.ndarray:
-    """Bind the window's level vectors with position-dependent rotations.
-
-    Sample t of n (1-based) contributes its level vector rotated right by
-    n - t, so the most recent sample is unrotated.  Computed by rotating
-    the running product one step before each new factor, which gives the
-    older factors one extra rotation per remaining step.
-    """
-    idx = np.asarray(window.levels)
-    if idx.ndim != 1 or idx.size < 1:
-        raise ValueError("window levels must be a nonempty 1-D sequence")
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError("window levels must be integers")
-    if idx.min() < 0 or idx.max() >= cim.level_count:
-        raise ValueError(
-            f"window levels outside [0, {cim.level_count}): "
-            f"[{int(idx.min())}, {int(idx.max())}]"
-        )
-    vecs = cim.vectors[idx]
-    out = vecs[0].copy()
-    for row in vecs[1:]:
-        out = np.roll(out, 1) * row
-    return out
-
-
-def encode_channel(temporal: np.ndarray, channel_name: str, im: ItemMemory) -> np.ndarray:
-    """Bind a temporal window vector with its channel's item vector."""
-    return hv.bind(temporal, im.vector(channel_name))
-
-
-def encode_window(windows, channel_names, im: ItemMemory, cim: ContinuousItemMemory) -> np.ndarray:
-    """Bundle the channel-bound vectors of one window across all channels.
-
-    ``windows`` holds exactly one NGramWindow per channel, all with the
-    same window index; ``channel_names`` gives the name for each channel
-    slot.  Returns the int64 bundled vector.
-    """
-    windows = list(windows)
-    channel_names = tuple(channel_names)
-    if not windows:
-        raise ValueError("need at least one window")
-    if len(windows) != len(channel_names):
-        raise ValueError(f"{len(windows)} windows for {len(channel_names)} channels")
-    if sorted(w.channel for w in windows) != list(range(len(channel_names))):
-        raise ValueError("need exactly one window per channel")
-    indices = {w.index for w in windows}
-    if len(indices) != 1:
-        raise ValueError(f"mismatched window indices: {sorted(indices)}")
-    bound = [
-        encode_channel(encode_temporal(w, cim), channel_names[w.channel], im) for w in windows
-    ]
-    return hv.bundle(bound)
-
-
-def encode_patient(rec: QuantizedRecording, im: ItemMemory, cim: ContinuousItemMemory, ngram_size: int):
-    """Encode every window of a recording; one EncodedNGram per window index."""
     if rec.level_count > cim.level_count:
         raise ValueError(
             f"{rec.patient_id}: recording has {rec.level_count} levels, "
             f"memory only {cim.level_count}"
         )
-    per_channel = segment(rec, ngram_size)
-    count = len(per_channel[0])
-    out = []
-    for w in range(count):
-        vector = encode_window([col[w] for col in per_channel], rec.channels, im, cim)
-        out.append(EncodedNGram(vector=vector, patient_id=rec.patient_id, index=w, label=rec.label))
+    levels = np.asarray(rec.levels)
+    if levels.ndim != 2 or not rec.channels or levels.shape[1] != len(rec.channels):
+        raise ValueError(
+            f"{rec.patient_id}: levels must be (samples, {len(rec.channels)}) "
+            f"with at least one channel, got {levels.shape}"
+        )
+    n_samples, n_channels = levels.shape
+    if n_samples % ngram_size != 0:
+        raise ValueError(
+            f"{rec.patient_id}: {n_samples} samples not divisible by ngram size {ngram_size}"
+        )
+    if not np.issubdtype(levels.dtype, np.integer):
+        raise ValueError(f"{rec.patient_id}: levels must be integers")
+    if levels.size and (levels.min() < 0 or levels.max() >= cim.level_count):
+        raise ValueError(
+            f"{rec.patient_id}: levels outside [0, {cim.level_count}): "
+            f"[{int(levels.min())}, {int(levels.max())}]"
+        )
+    windows = levels.reshape(n_samples // ngram_size, ngram_size, n_channels)
+    out = np.zeros((windows.shape[0], cim.dimension), dtype=hv.ACCUMULATOR_DTYPE)
+    for c, name in enumerate(rec.channels):
+        channel_vector = im.vector(name)
+        temporal = cim.vectors[windows[:, 0, c]]
+        for t in range(1, ngram_size):
+            temporal = np.roll(temporal, 1, axis=1) * cim.vectors[windows[:, t, c]]
+        out += temporal * channel_vector
     return out

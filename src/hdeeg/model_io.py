@@ -48,16 +48,7 @@ def save_model(model: TrainedModel, path) -> None:
         "format": 1,
         "params": model.params.to_dict(),
         "channels": list(model.channels),
-        "channel_stats": [
-            {
-                "channel": s.channel,
-                "clip_low": float(s.clip_low),
-                "clip_high": float(s.clip_high),
-                "quant_min": float(s.quant_min),
-                "quant_max": float(s.quant_max),
-            }
-            for s in model.channel_stats
-        ],
+        "channel_stats": [s.to_dict() for s in model.channel_stats],
         "bundle_counts": {
             str(Label.ADHD): model.memory.bundle_count(Label.ADHD),
             str(Label.CONTROL): model.memory.bundle_count(Label.CONTROL),
@@ -94,16 +85,7 @@ def load_model(path) -> TrainedModel:
     try:
         params = PipelineParams.from_dict(header["params"])
         channels = tuple(str(c) for c in header["channels"])
-        stats = tuple(
-            ChannelStats(
-                channel=str(s["channel"]),
-                clip_low=float(s["clip_low"]),
-                clip_high=float(s["clip_high"]),
-                quant_min=float(s["quant_min"]),
-                quant_max=float(s["quant_max"]),
-            )
-            for s in header["channel_stats"]
-        )
+        stats = tuple(ChannelStats.from_dict(s) for s in header["channel_stats"])
         counts = {
             Label.ADHD: int(header["bundle_counts"][str(Label.ADHD)]),
             Label.CONTROL: int(header["bundle_counts"][str(Label.CONTROL)]),

@@ -72,6 +72,25 @@ class ChannelStats:
     quant_min: float
     quant_max: float
 
+    def to_dict(self) -> dict:
+        return {
+            "channel": self.channel,
+            "clip_low": float(self.clip_low),
+            "clip_high": float(self.clip_high),
+            "quant_min": float(self.quant_min),
+            "quant_max": float(self.quant_max),
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "ChannelStats":
+        return cls(
+            channel=str(doc["channel"]),
+            clip_low=float(doc["clip_low"]),
+            clip_high=float(doc["clip_high"]),
+            quant_min=float(doc["quant_min"]),
+            quant_max=float(doc["quant_max"]),
+        )
+
 
 def drop_initial(rec: EegRecording, drop_samples: int) -> EegRecording:
     """Remove the first ``drop_samples`` samples (transient suppression)."""

@@ -7,6 +7,7 @@ at its manifest.
 """
 
 import functools
+import hashlib
 import json
 import os
 import time
@@ -22,22 +23,21 @@ from hdeeg import (
     EegRecording,
     ItemMemory,
     Label,
-    NGramWindow,
     PipelineParams,
+    QuantizedRecording,
     SyntheticSpec,
     UntrainedMemoryError,
     compute_channel_stats,
     derive_seed,
     drop_initial,
-    encode_window,
+    encode_windows,
     generate_synthetic,
     load_dataset,
     preprocess_recording,
     run_trial,
-    segment,
     incremental_sweep,
 )
-from hdeeg.classifier import CIM_SEED_PURPOSE
+from hdeeg.classifier import CIM_SEED_PURPOSE, build_memories
 from hdeeg.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 from test_encoder import oracle_window
@@ -131,11 +131,16 @@ def test_criterion_3_encoder_oracle():
     rng = np.random.default_rng(43)
     for _ in range(1000):
         rows = [rng.integers(0, levels, size=ngram) for _ in range(2)]
-        windows = [
-            NGramWindow(levels=row, channel=ci, index=0) for ci, row in enumerate(rows)
-        ]
-        got = encode_window(windows, ("F4", "Cz"), im, cim)
-        assert got.tolist() == oracle_window([r.tolist() for r in rows], chans, cim_rows)
+        rec = QuantizedRecording(
+            patient_id="oracle",
+            label=Label.ADHD,
+            channels=("F4", "Cz"),
+            levels=np.stack(rows, axis=1),
+            level_count=levels,
+        )
+        got = encode_windows(rec, im, cim, ngram)
+        assert got.shape == (1, dim)
+        assert got[0].tolist() == oracle_window([r.tolist() for r in rows], chans, cim_rows)
 
 
 @criterion(4, "pipeline shape reproduction")
@@ -161,11 +166,10 @@ def test_criterion_4_pipeline_shapes():
     )
     assert q.levels.shape == (896, 2)
     assert q.levels.min() >= 0 and q.levels.max() <= 249
-    per_channel = segment(q, params.ngram_size)
-    assert len(per_channel) == 2
-    for windows in per_channel:
-        assert len(windows) == 28
-        assert all(len(w.levels) == 32 for w in windows)
+    im, cim = build_memories(params, q.channels)
+    encoded = encode_windows(q, im, cim, params.ngram_size)
+    assert encoded.shape == (28, 10000)
+    assert encoded.dtype == np.int64
 
 
 @criterion(5, "synthetic end-to-end accuracy")
@@ -199,9 +203,7 @@ def test_criterion_6_clinical_reproduction():
     accuracies = []
     for seed in range(10):
         params = PipelineParams(seed=seed)
-        _, report = run_trial(
-            manifest, recordings, params, train_counts, test_counts, max_workers=4
-        )
+        _, report = run_trial(manifest, recordings, params, train_counts, test_counts)
         accuracies.append(report.accuracy_pct)
     mean = sum(accuracies) / len(accuracies)
     assert mean >= 80.0, f"mean accuracy {mean:.1f}% over seeds 0..9"
@@ -214,7 +216,6 @@ def test_criterion_6_clinical_reproduction():
         runs=10,
         seed=0,
         params=PipelineParams(),
-        max_workers=4,
     )
     k7 = sweep.rows[6]
     assert k7.k == 7
@@ -258,6 +259,14 @@ def test_criterion_7_cli_determinism(tmp_path):
             )
         )
     assert outputs[0] == outputs[1]
+    # Fixed digests, so a byte drift in the model, the eval report or the
+    # sweep table between versions fails here, not only one between reruns.
+    digests = [hashlib.sha256(blob).hexdigest() for blob in outputs[0][1:]]
+    assert digests == [
+        "2312f35d010c440f595216ad2e49c5e41781fb0ce1e6b0637e70f937afeda659",
+        "81a590608dc6b3f7af9bfdc33ce3db6e7f601b919c2729c1d34f0f0b398f32bc",
+        "3a78b1fb30fa68a0d39c50c2e873fb733b7898218715fa331bea0ca4d8a4007f",
+    ]
 
 
 @criterion(8, "degenerate inputs and exit codes")

@@ -17,7 +17,6 @@ from hdeeg import (
     drop_initial,
     evaluate,
     classify_patient,
-    classify_window,
     derive_seed,
     incremental_sweep,
     preprocess_recording,
@@ -172,17 +171,28 @@ def test_classify_patient_window_count(prepared, small_params):
         assert isinstance(r, QueryResult)
 
 
-def test_classify_window_matches_memory_query(prepared, small_params):
+def test_classify_patient_binds_channels_by_name(prepared, small_params):
+    # A recording whose columns come in another order than the model's
+    # channels is encoded by channel name, so the votes do not change.
     _, _, stats, q = prepared
     model = train(pick(q, "adhd-001", "control-001"), small_params, stats)
-    from hdeeg import encode_patient
+    rec = q["control-002"]
+    reversed_rec = replace(rec, channels=rec.channels[::-1], levels=rec.levels[:, ::-1].copy())
+    assert reversed_rec.channels != model.channels
+    a = classify_patient(model, rec)
+    b = classify_patient(model, reversed_rec)
+    assert a.predicted_label is b.predicted_label
+    assert (a.correct_windows, a.total_windows) == (b.correct_windows, b.total_windows)
+    assert a.window_results == b.window_results
 
-    enc = encode_patient(
-        q["control-002"], model.item_memory, model.level_memory, small_params.ngram_size
-    )[0]
-    direct = model.memory.query(enc.vector)
-    assert classify_window(model, enc) == direct
-    assert classify_window(model, enc.vector) == direct
+
+def test_classify_patient_rejects_unknown_channel(prepared, small_params):
+    _, _, stats, q = prepared
+    model = train(pick(q, "adhd-001", "control-001"), small_params, stats)
+    rec = q["control-002"]
+    stranger = replace(rec, channels=(rec.channels[0], "Pz"))
+    with pytest.raises(ValueError, match="Pz"):
+        classify_patient(model, stranger)
 
 
 # --------------------------------------------------------------- summarize
@@ -263,15 +273,6 @@ def test_evaluate_matches_manual_loop(prepared, small_params):
     report = evaluate(model, rest)
     manual = summarize([classify_patient(model, r) for r in rest])
     assert report.to_dict() == manual.to_dict()
-
-
-def test_evaluate_thread_pool_is_order_stable(prepared, small_params):
-    _, _, stats, q = prepared
-    model = train(pick(q, "adhd-001", "control-001"), small_params, stats)
-    rest = pick(q, "adhd-002", "control-002", "adhd-003", "control-003")
-    serial = evaluate(model, rest, max_workers=1)
-    threaded = evaluate(model, rest, max_workers=3)
-    assert serial.to_dict() == threaded.to_dict()
 
 
 def test_evaluate_rejects_empty(prepared, small_params):
@@ -427,14 +428,6 @@ def test_sweep_is_deterministic(small_dataset, small_params):
     a = incremental_sweep(manifest, recordings, **kwargs)
     b = incremental_sweep(manifest, recordings, **kwargs)
     assert a == b
-
-
-def test_sweep_threaded_matches_serial(small_dataset, small_params):
-    manifest, recordings = small_dataset
-    kwargs = dict(test_size=2, max_train=2, runs=3, seed=8, params=small_params)
-    serial = incremental_sweep(manifest, recordings, **kwargs)
-    threaded = incremental_sweep(manifest, recordings, **kwargs, max_workers=3)
-    assert serial == threaded
 
 
 def test_sweep_single_run_has_zero_std(small_dataset, small_params):

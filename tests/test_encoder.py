@@ -5,20 +5,14 @@ import pytest
 
 from hdeeg import (
     ContinuousItemMemory,
-    EncodedNGram,
     ItemMemory,
     Label,
-    NGramWindow,
     QuantizedRecording,
     bind,
     cosine_similarity,
-    encode_channel,
-    encode_patient,
-    encode_temporal,
-    encode_window,
+    encode_windows,
     hamming_distance,
     permute,
-    segment,
 )
 
 # ----------------------------------------------------------------- oracle
@@ -68,28 +62,44 @@ def make_quantized(levels, channels=("F4", "Cz"), level_count=4, pid="p1"):
     )
 
 
-# ---------------------------------------------------------------- segment
+
+
+def temporal(levels, im, cim):
+    """Temporal vector of one window, from a one-channel F4 recording.
+
+    The channel binding is undone with the F4 item vector, which is its
+    own inverse.
+    """
+    rec = make_quantized(
+        np.asarray(levels).reshape(-1, 1), channels=("F4",), level_count=cim.level_count
+    )
+    out = encode_windows(rec, im, cim, len(levels))
+    assert out.shape == (1, cim.dimension)
+    return bind(out[0], im.vector("F4"))
+
+
+# -------------------------------------------------------------- windowing
 
 
 def test_segment_shapes_and_cover():
+    # Row w encodes samples [w * n, (w + 1) * n) of every channel.
+    im, cim = small_memories()
     data = np.arange(12).reshape(6, 2) % 4
-    rec = make_quantized(data)
-    per_channel = segment(rec, 3)
-    assert len(per_channel) == 2
-    assert [len(ws) for ws in per_channel] == [2, 2]
-    for ci, windows in enumerate(per_channel):
-        rebuilt = np.concatenate([w.levels for w in windows])
-        assert np.array_equal(rebuilt, data[:, ci])
-        for wi, w in enumerate(windows):
-            assert w.channel == ci and w.index == wi and len(w.levels) == 3
+    out = encode_windows(make_quantized(data), im, cim, 3)
+    assert out.shape == (2, 16)
+    chans = [im.vector(n).tolist() for n in ("F4", "Cz")]
+    for w in range(2):
+        rows = data[w * 3 : (w + 1) * 3].T.tolist()
+        assert out[w].tolist() == oracle_window(rows, chans, cim.vectors.tolist())
 
 
 def test_segment_requires_divisibility():
+    im, cim = small_memories()
     rec = make_quantized(np.zeros((7, 2), dtype=int))
+    with pytest.raises(ValueError, match="not divisible by ngram size 3"):
+        encode_windows(rec, im, cim, 3)
     with pytest.raises(ValueError):
-        segment(rec, 3)
-    with pytest.raises(ValueError):
-        segment(rec, 0)
+        encode_windows(rec, im, cim, 0)
 
 
 # --------------------------------------------------------------- temporal
@@ -97,16 +107,14 @@ def test_segment_requires_divisibility():
 
 def test_encode_temporal_single_sample_is_level_vector():
     im, cim = small_memories()
-    w = NGramWindow(levels=np.array([2]), channel=0, index=0)
-    assert np.array_equal(encode_temporal(w, cim), cim.level(2))
+    assert np.array_equal(temporal([2], im, cim), cim.level(2))
 
 
 def test_encode_temporal_two_samples_expansion():
     # n = 2: rotate the older level vector once, bind with the newer.
     im, cim = small_memories()
-    w = NGramWindow(levels=np.array([1, 3]), channel=0, index=0)
     expected = bind(permute(cim.level(1), 1), cim.level(3))
-    assert np.array_equal(encode_temporal(w, cim), expected)
+    assert np.array_equal(temporal([1, 3], im, cim), expected)
 
 
 def test_encode_temporal_matches_composition_of_ops():
@@ -115,31 +123,35 @@ def test_encode_temporal_matches_composition_of_ops():
     rng = np.random.default_rng(1)
     for _ in range(20):
         levels = rng.integers(0, 8, size=7)
-        w = NGramWindow(levels=levels, channel=0, index=0)
         n = len(levels)
         expected = np.ones(64, dtype=np.int64)
         for t, level in enumerate(levels, start=1):
             expected = bind(expected, permute(cim.level(level), n - t))
-        assert np.array_equal(encode_temporal(w, cim), expected)
+        assert np.array_equal(temporal(levels, im, cim), expected)
 
 
 def test_encode_temporal_is_bipolar():
     im, cim = small_memories()
-    w = NGramWindow(levels=np.array([0, 1, 2, 3]), channel=0, index=0)
-    out = encode_temporal(w, cim)
+    out = temporal([0, 1, 2, 3], im, cim)
     assert set(np.unique(out)) <= {-1, 1}
 
 
 def test_encode_temporal_rejects_bad_levels():
     im, cim = small_memories(levels=4)
-    with pytest.raises(ValueError):
-        encode_temporal(NGramWindow(levels=np.array([0, 4]), channel=0, index=0), cim)
-    with pytest.raises(ValueError):
-        encode_temporal(NGramWindow(levels=np.array([-1]), channel=0, index=0), cim)
-    with pytest.raises(ValueError):
-        encode_temporal(NGramWindow(levels=np.array([]), channel=0, index=0), cim)
-    with pytest.raises(ValueError):
-        encode_temporal(NGramWindow(levels=np.array([0.5]), channel=0, index=0), cim)
+    for bad in ([0, 4], [-1]):
+        with pytest.raises(ValueError, match="outside"):
+            temporal(bad, im, cim)
+    with pytest.raises(ValueError, match="ngram size"):
+        temporal([], im, cim)
+    floats = QuantizedRecording(
+        patient_id="p1",
+        label=Label.ADHD,
+        channels=("F4",),
+        levels=np.array([[0.5]]),
+        level_count=4,
+    )
+    with pytest.raises(ValueError, match="integers"):
+        encode_windows(floats, im, cim, 1)
 
 
 def test_encode_temporal_order_sensitive():
@@ -150,10 +162,8 @@ def test_encode_temporal_order_sensitive():
         levels = rng.integers(0, 250, size=32)
         if np.array_equal(levels, levels[::-1]):
             continue
-        fwd = encode_temporal(NGramWindow(levels=levels, channel=0, index=0), cim)
-        rev = encode_temporal(
-            NGramWindow(levels=levels[::-1].copy(), channel=0, index=0), cim
-        )
+        fwd = temporal(levels, im, cim)
+        rev = temporal(levels[::-1].copy(), im, cim)
         assert not np.array_equal(fwd, rev)
         assert abs(cosine_similarity(fwd, rev)) < 0.05
 
@@ -167,8 +177,8 @@ def test_encode_temporal_level_locality():
     levels = rng.integers(0, 16, size=6)
     bumped = levels.copy()
     bumped[3] = (bumped[3] + 1) % 16
-    a = encode_temporal(NGramWindow(levels=levels, channel=0, index=0), cim)
-    b = encode_temporal(NGramWindow(levels=bumped, channel=0, index=0), cim)
+    a = temporal(levels, im, cim)
+    b = temporal(bumped, im, cim)
     assert hamming_distance(a, b) == hamming_distance(
         cim.level(int(levels[3])), cim.level(int(bumped[3]))
     )
@@ -179,19 +189,19 @@ def test_encode_temporal_level_locality():
 
 def test_encode_channel_binds_item_vector():
     im, cim = small_memories()
-    w = NGramWindow(levels=np.array([0, 1]), channel=0, index=0)
-    s = encode_temporal(w, cim)
-    out = encode_channel(s, "F4", im)
-    assert np.array_equal(out, bind(s, im.vector("F4")))
+    rec = make_quantized([[0], [1]], channels=("F4",))
+    out = encode_windows(rec, im, cim, 2)[0]
+    s = oracle_temporal([0, 1], cim.vectors.tolist())
+    assert out.tolist() == bind(np.array(s), im.vector("F4")).tolist()
     # Binding again with the channel vector recovers the temporal vector.
-    assert np.array_equal(bind(out, im.vector("F4")), s)
+    assert bind(out, im.vector("F4")).tolist() == s
 
 
 def test_encode_channel_unknown_name():
     im, cim = small_memories()
-    s = encode_temporal(NGramWindow(levels=np.array([0]), channel=0, index=0), cim)
-    with pytest.raises(ValueError):
-        encode_channel(s, "Pz", im)
+    rec = make_quantized([[0, 1]], channels=("F4", "Pz"))
+    with pytest.raises(ValueError, match="Pz"):
+        encode_windows(rec, im, cim, 1)
 
 
 # ----------------------------------------------------------------- window
@@ -199,17 +209,12 @@ def test_encode_channel_unknown_name():
 
 def test_encode_window_bundles_channels():
     im, cim = small_memories()
-    wins = [
-        NGramWindow(levels=np.array([0, 1, 2]), channel=0, index=4),
-        NGramWindow(levels=np.array([3, 2, 1]), channel=1, index=4),
-    ]
-    out = encode_window(wins, ("F4", "Cz"), im, cim)
+    rows = [[0, 1, 2], [3, 2, 1]]
+    out = encode_windows(make_quantized(np.array(rows).T), im, cim, 3)
     expected = oracle_window(
-        [w.levels.tolist() for w in wins],
-        [im.vector(n).tolist() for n in ("F4", "Cz")],
-        cim.vectors.tolist(),
+        rows, [im.vector(n).tolist() for n in ("F4", "Cz")], cim.vectors.tolist()
     )
-    assert out.tolist() == expected
+    assert out.tolist() == [expected]
     assert set(np.unique(out)) <= {-2, 0, 2}
 
 
@@ -217,29 +222,23 @@ def test_encode_window_channel_recoverable():
     im = ItemMemory.build(["F4", "Cz"], seed=2, dimension=10000)
     cim = ContinuousItemMemory.build(250, seed=3, dimension=10000)
     rng = np.random.default_rng(8)
-    wins = [
-        NGramWindow(levels=rng.integers(0, 250, size=32), channel=ci, index=0)
-        for ci in range(2)
-    ]
-    F = encode_window(wins, ("F4", "Cz"), im, cim)
+    data = rng.integers(0, 250, size=(32, 2))
+    rec = make_quantized(data, level_count=250)
+    F = encode_windows(rec, im, cim, 32)[0]
     for ci, name in enumerate(("F4", "Cz")):
-        s = encode_temporal(wins[ci], cim)
-        assert cosine_similarity(bind(F, im.vector(name)), s) > 0.4
+        s = oracle_temporal(data[:, ci].tolist(), cim.vectors.tolist())
+        assert cosine_similarity(bind(F, im.vector(name)), np.array(s)) > 0.4
 
 
 def test_encode_window_validation():
+    # The level matrix must have one column per named channel.
     im, cim = small_memories()
-    w0 = NGramWindow(levels=np.array([0]), channel=0, index=0)
-    w1 = NGramWindow(levels=np.array([1]), channel=1, index=1)
-    with pytest.raises(ValueError, match="mismatched"):
-        encode_window([w0, w1], ("F4", "Cz"), im, cim)
-    with pytest.raises(ValueError):
-        encode_window([w0], ("F4", "Cz"), im, cim)
-    with pytest.raises(ValueError):
-        encode_window([], (), im, cim)
-    dup = NGramWindow(levels=np.array([1]), channel=0, index=0)
-    with pytest.raises(ValueError):
-        encode_window([w0, dup], ("F4", "Cz"), im, cim)
+    with pytest.raises(ValueError, match="levels must be"):
+        encode_windows(make_quantized(np.zeros((3, 1), dtype=int)), im, cim, 3)
+    with pytest.raises(ValueError, match="levels must be"):
+        encode_windows(make_quantized(np.zeros(3, dtype=int)), im, cim, 3)
+    with pytest.raises(ValueError, match="at least one channel"):
+        encode_windows(make_quantized(np.zeros((3, 0), dtype=int), channels=()), im, cim, 3)
 
 
 # ---------------------------------------------------------------- patient
@@ -249,33 +248,28 @@ def test_encode_patient_produces_window_records():
     im, cim = small_memories()
     rng = np.random.default_rng(11)
     rec = make_quantized(rng.integers(0, 4, size=(9, 2)))
-    encs = encode_patient(rec, im, cim, 3)
-    assert len(encs) == 3
-    for wi, enc in enumerate(encs):
-        assert isinstance(enc, EncodedNGram)
-        assert enc.index == wi
-        assert enc.patient_id == "p1"
-        assert enc.label is Label.ADHD
-        assert enc.vector.shape == (16,)
+    out = encode_windows(rec, im, cim, 3)
+    assert out.shape == (3, 16)
+    assert out.dtype == np.int64
 
 
 def test_encode_patient_matches_windowwise_encoding():
+    # Windows are encoded independently: row w equals the encoding of a
+    # recording holding only window w.
     im, cim = small_memories()
     rng = np.random.default_rng(13)
     data = rng.integers(0, 4, size=(6, 2))
-    rec = make_quantized(data)
-    encs = encode_patient(rec, im, cim, 3)
-    per_channel = segment(rec, 3)
-    for wi, enc in enumerate(encs):
-        expected = encode_window([col[wi] for col in per_channel], rec.channels, im, cim)
-        assert np.array_equal(enc.vector, expected)
+    out = encode_windows(make_quantized(data), im, cim, 3)
+    for w in range(2):
+        alone = encode_windows(make_quantized(data[w * 3 : (w + 1) * 3]), im, cim, 3)
+        assert np.array_equal(out[w], alone[0])
 
 
 def test_encode_patient_rejects_level_overflow():
     im, cim = small_memories(levels=4)
     rec = make_quantized(np.zeros((4, 2), dtype=int), level_count=8)
-    with pytest.raises(ValueError):
-        encode_patient(rec, im, cim, 2)
+    with pytest.raises(ValueError, match="memory only 4"):
+        encode_windows(rec, im, cim, 2)
 
 
 def test_encoder_oracle_equivalence_small():
@@ -286,10 +280,6 @@ def test_encoder_oracle_equivalence_small():
     chans = [im.vector(n).tolist() for n in ("F4", "Cz")]
     for _ in range(200):
         level_rows = [rng.integers(0, 4, size=3), rng.integers(0, 4, size=3)]
-        wins = [
-            NGramWindow(levels=row, channel=ci, index=0)
-            for ci, row in enumerate(level_rows)
-        ]
-        got = encode_window(wins, ("F4", "Cz"), im, cim)
+        got = encode_windows(make_quantized(np.stack(level_rows, axis=1)), im, cim, 3)
         expected = oracle_window([r.tolist() for r in level_rows], chans, cim_rows)
-        assert got.tolist() == expected
+        assert got.tolist() == [expected]
