@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .common import Label, check_seed, derive_seed, make_rng
-from .dataio import DatasetManifest, DataValidationError, split
+from .dataio import DatasetManifest, DataValidationError, draw_split, split
 from .encoder import encode_windows
 from .memories import AssociativeMemory, ContinuousItemMemory, ItemMemory
 from .preprocess import (
@@ -300,21 +300,33 @@ def evaluate(model: TrainedModel, test_set) -> EvalReport:
     return summarize([classify_patient(model, rec) for rec in test_set])
 
 
-def _prepare(recordings, stats_pool, params: PipelineParams):
-    """Channel stats from the pool, then the full chain on ``recordings``."""
-    dropped = [drop_initial(rec, params.drop_samples) for rec in stats_pool]
+def _prepare(manifest, recordings, train_ids, test_ids, params: PipelineParams, stats_scope):
+    """Channel stats from the stats pool, then the full chain on both splits.
+
+    Every manifest patient needs a recording.  With stats_scope "train"
+    the pool is the training split, with "all" every manifest patient.
+    Returns (stats, q_train, q_test).
+    """
+    if stats_scope not in ("train", "all"):
+        raise ValueError(f"stats scope must be 'train' or 'all', got {stats_scope!r}")
+    by_id = {rec.patient_id: rec for rec in recordings}
+    missing = [p.id for p in manifest.patients if p.id not in by_id]
+    if missing:
+        raise ValueError(f"recordings missing for patient(s) {missing}")
+    pool_ids = train_ids if stats_scope == "train" else [p.id for p in manifest.patients]
+    dropped = [drop_initial(by_id[i], params.drop_samples) for i in pool_ids]
     stats = compute_channel_stats(dropped, params.clip_low_pct, params.clip_high_pct)
     quantized = [
         preprocess_recording(
-            rec,
+            by_id[i],
             stats,
             drop_samples=params.drop_samples,
             downsample_factor=params.downsample_factor,
             level_count=params.level_count,
         )
-        for rec in recordings
+        for i in (*train_ids, *test_ids)
     ]
-    return stats, quantized
+    return stats, quantized[: len(train_ids)], quantized[len(train_ids):]
 
 
 def run_trial(
@@ -330,24 +342,13 @@ def run_trial(
 
     The split seed derives from params.seed.  With stats_scope "train"
     (default) clip and quantization statistics come from the training
-    split only; "all" pools every recording.
+    split only; "all" pools every manifest patient.
     """
     params.validate()
-    if stats_scope not in ("train", "all"):
-        raise ValueError(f"stats scope must be 'train' or 'all', got {stats_scope!r}")
     train_ids, test_ids = split(
         manifest, train_counts, test_counts, derive_seed(params.seed, SPLIT_SEED_PURPOSE)
     )
-    by_id = {rec.patient_id: rec for rec in recordings}
-    missing = [i for i in (*train_ids, *test_ids) if i not in by_id]
-    if missing:
-        raise ValueError(f"recordings missing for patient(s) {missing}")
-    train_raw = [by_id[i] for i in train_ids]
-    test_raw = [by_id[i] for i in test_ids]
-    stats_pool = train_raw if stats_scope == "train" else list(recordings)
-    stats, quantized = _prepare([*train_raw, *test_raw], stats_pool, params)
-    q_train = quantized[: len(train_raw)]
-    q_test = quantized[len(train_raw):]
+    stats, q_train, q_test = _prepare(manifest, recordings, train_ids, test_ids, params, stats_scope)
     model = train(q_train, params, stats, train_ids=train_ids, test_ids=test_ids)
     report = evaluate(model, q_test) if q_test else None
     return model, report
@@ -376,23 +377,21 @@ class SweepResult:
     runs: tuple
 
 
-def _lenient_accuracy(am: AssociativeMemory, patient_windows, labels) -> float:
+def _sweep_accuracy(am: AssociativeMemory, q_test, test_encodings) -> float:
     """Patient accuracy that tolerates a single-class memory.
 
-    While only one class prototype is populated, every window is deemed
-    classified as that class (an empty prototype loses every comparison),
-    which keeps sweep rows for tiny training prefixes well defined.
+    While one prototype is still empty, every window counts as the trained
+    class (an empty prototype loses every comparison), which keeps sweep
+    rows for tiny training prefixes well defined.  Otherwise this is the
+    accuracy of summarize() over the held-out patients.
     """
-    have = [l for l in (Label.ADHD, Label.CONTROL) if am.bundle_count(l) > 0]
-    correct_patients = 0
-    for vectors, true_label in zip(patient_windows, labels):
-        if len(have) == 2:
-            correct = sum(1 for v in vectors if am.query(v).label is true_label)
-        else:
-            correct = len(vectors) if have[0] is true_label else 0
-        if 2 * correct > len(vectors):
-            correct_patients += 1
-    return 100.0 * correct_patients / len(patient_windows)
+    trained = [label for label in (Label.ADHD, Label.CONTROL) if am.bundle_count(label) > 0]
+    if len(trained) == 1:
+        return 100.0 * sum(1 for q in q_test if q.label is trained[0]) / len(q_test)
+    return summarize(
+        _prediction_from_results(q.patient_id, q.label, [am.query(v) for v in vectors])
+        for q, vectors in zip(q_test, test_encodings)
+    ).accuracy_pct
 
 
 def incremental_sweep(
@@ -416,11 +415,12 @@ def incremental_sweep(
     would derive them, so the k = max_train point of a run reproduces a
     plain train/evaluate with params.seed set to that run seed.
 
-    Stratified test selection (default) takes test_size // 2 ADHD patients
-    and the remainder from CONTROL; stratified=False samples the test set
-    uniformly.  Statistics come from the run's training pool ("train",
-    default) or the whole dataset ("all").  Returns per-k mean and
-    population standard deviation across runs plus the raw per-run data.
+    Stratified test selection (default) draws test_size // 2 ADHD patients
+    and the remainder from CONTROL by the policy of dataio.split;
+    stratified=False samples the test set uniformly.  Statistics come from
+    the run's training pool ("train", default) or the whole dataset
+    ("all").  Returns per-k mean and population standard deviation across
+    runs plus the raw per-run data.
     """
     params.validate()
     check_seed(seed)
@@ -428,17 +428,13 @@ def incremental_sweep(
         raise ValueError(f"need at least one run, got {runs}")
     if test_size < 1 or max_train < 1:
         raise ValueError("test size and max train must be at least 1")
-    if stats_scope not in ("train", "all"):
-        raise ValueError(f"stats scope must be 'train' or 'all', got {stats_scope!r}")
     n_patients = len(manifest.patients)
     if test_size + max_train > n_patients:
         raise DataValidationError(
             f"test size {test_size} plus max train {max_train} exceeds {n_patients} patients"
         )
-    by_id = {rec.patient_id: rec for rec in recordings}
-    missing = [p.id for p in manifest.patients if p.id not in by_id]
-    if missing:
-        raise ValueError(f"recordings missing for patient(s) {missing}")
+    # Held-out window values lie in [-C, C] for C channels.
+    window_dtype = np.int8 if len(manifest.channels) <= 127 else np.int64
 
     def one_run(r: int) -> SweepRun:
         run_seed = derive_seed(seed, f"sweep-run-{r}")
@@ -447,16 +443,7 @@ def incremental_sweep(
         if stratified:
             n_adhd = test_size // 2
             counts = {Label.ADHD: n_adhd, Label.CONTROL: test_size - n_adhd}
-            test_ids = []
-            for label in (Label.ADHD, Label.CONTROL):
-                ids = manifest.ids_for(label)
-                if counts[label] > len(ids):
-                    raise DataValidationError(
-                        f"test set needs {counts[label]} of class {label}, dataset has {len(ids)}"
-                    )
-                order = rng.permutation(len(ids))
-                test_ids.extend(ids[i] for i in order[: counts[label]])
-            test_ids = [test_ids[i] for i in rng.permutation(len(test_ids))]
+            _, test_ids = draw_split(manifest, {}, counts, rng)
         else:
             order = rng.permutation(n_patients)
             test_ids = [all_ids[i] for i in order[:test_size]]
@@ -466,23 +453,20 @@ def incremental_sweep(
         train_order = [pool[i] for i in order][:max_train]
 
         params_r = replace(params, seed=run_seed)
-        stats_ids = train_order if stats_scope == "train" else all_ids
-        stats, quantized = _prepare(
-            [by_id[i] for i in (*train_order, *test_ids)],
-            [by_id[i] for i in stats_ids],
-            params_r,
+        _, q_train, q_test = _prepare(
+            manifest, recordings, train_order, test_ids, params_r, stats_scope
         )
-        q_train = quantized[: len(train_order)]
-        q_test = quantized[len(train_order):]
         im, cim = build_memories(params_r, manifest.channels)
-        test_encodings = [encode_windows(q, im, cim, params_r.ngram_size) for q in q_test]
-        test_labels = [q.label for q in q_test]
+        test_encodings = [
+            encode_windows(q, im, cim, params_r.ngram_size).astype(window_dtype, copy=False)
+            for q in q_test
+        ]
         am = AssociativeMemory(params_r.dimension, params_r.gate_threshold)
         accuracies = []
         for q in q_train:
             for vector in encode_windows(q, im, cim, params_r.ngram_size):
                 am.update(vector, q.label)
-            accuracies.append(_lenient_accuracy(am, test_encodings, test_labels))
+            accuracies.append(_sweep_accuracy(am, q_test, test_encodings))
         return SweepRun(
             run_seed=run_seed,
             test_ids=tuple(test_ids),

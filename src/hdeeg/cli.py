@@ -25,6 +25,7 @@ from .dataio import (
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
+    write_csv,
     write_dataset,
 )
 from .memories import UntrainedMemoryError
@@ -147,26 +148,13 @@ def cmd_preprocess(args) -> int:
     dropped = [drop_initial(rec, params.drop_samples) for rec in recordings]
     stats = compute_channel_stats(dropped, params.clip_low_pct, params.clip_high_pct)
     out = Path(args.out)
-    signals = {}
-    levels = {}
     for rec in recordings:
         conditioned = downsample_mean(
             clip(drop_initial(rec, params.drop_samples), stats), params.downsample_factor
         )
-        signals[rec.patient_id] = conditioned
-        levels[rec.patient_id] = quantize(conditioned, stats, params.level_count)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "signals").mkdir(exist_ok=True)
-    (out / "levels").mkdir(exist_ok=True)
-    header = ",".join(manifest.channels)
-    for pid, conditioned in signals.items():
-        lines = [header]
-        lines.extend(",".join(repr(float(v)) for v in row) for row in conditioned.samples)
-        (out / "signals" / f"{pid}.csv").write_text("\n".join(lines) + "\n")
-    for pid, q in levels.items():
-        lines = [header]
-        lines.extend(",".join(str(int(v)) for v in row) for row in q.levels)
-        (out / "levels" / f"{pid}.csv").write_text("\n".join(lines) + "\n")
+        levels = quantize(conditioned, stats, params.level_count).levels
+        write_csv(out / "signals" / f"{rec.patient_id}.csv", manifest.channels, conditioned.samples)
+        write_csv(out / "levels" / f"{rec.patient_id}.csv", manifest.channels, levels)
     _dump_json(
         out / "stats.json",
         {

@@ -1,4 +1,4 @@
-"""Dataset layout, CSV ingestion, synthetic fixtures, stratified splits.
+"""Dataset layout, CSV reading and writing, synthetic fixtures, stratified splits.
 
 A dataset is a directory with a ``manifest.json`` naming the channels and
 patients, plus one CSV per patient::
@@ -31,8 +31,10 @@ __all__ = [
     "load_manifest",
     "load_dataset",
     "write_dataset",
+    "write_csv",
     "generate_synthetic",
     "split",
+    "draw_split",
 ]
 
 MANIFEST_NAME = "manifest.json"
@@ -187,14 +189,21 @@ def write_dataset(root, manifest: DatasetManifest, recordings) -> None:
         ],
     }
     (root / MANIFEST_NAME).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    header = ",".join(manifest.channels)
     for patient in manifest.patients:
-        rec = by_id[patient.id]
-        out = root / patient.path
-        out.parent.mkdir(parents=True, exist_ok=True)
-        lines = [header]
-        lines.extend(",".join(repr(float(v)) for v in row) for row in rec.samples)
-        out.write_text("\n".join(lines) + "\n")
+        write_csv(root / patient.path, manifest.channels, by_id[patient.id].samples)
+
+
+def write_csv(path, channels, values) -> None:
+    """Header row of channel names, then one row of ``values`` per sample.
+
+    Values are written with repr, so floats round-trip exactly and integer
+    levels print as plain integers.  Parent directories are created.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [",".join(channels)]
+    lines.extend(",".join(map(repr, row.tolist())) for row in values)
+    path.write_text("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -284,12 +293,20 @@ def split(manifest: DatasetManifest, train_counts, test_counts, seed: int):
     """Stratified seeded split into disjoint train and test id lists.
 
     ``train_counts`` and ``test_counts`` map Label to a patient count.
+    Fully determined by (manifest, counts, seed); see :func:`draw_split`.
+    """
+    return draw_split(manifest, train_counts, test_counts, make_rng(seed))
+
+
+def draw_split(manifest: DatasetManifest, train_counts, test_counts, rng: np.random.Generator):
+    """The draws of :func:`split`, taken from ``rng``.
+
     Per class (ADHD first, then CONTROL) the patient ids are shuffled and
     the first train_counts[label] go to train, the next test_counts[label]
     to test.  Both returned lists are then shuffled once more so training
-    order mixes the classes.  Fully determined by (manifest, counts, seed).
+    order mixes the classes.  An empty list draws nothing from ``rng``, so
+    a caller may keep drawing from it after a test-only split.
     """
-    rng = make_rng(seed)
     for counts in (train_counts, test_counts):
         for label, count in counts.items():
             if count < 0:
@@ -301,7 +318,8 @@ def split(manifest: DatasetManifest, train_counts, test_counts, seed: int):
         n_test = int(test_counts.get(label, 0))
         if n_train + n_test > len(ids):
             raise DataValidationError(
-                f"need {n_train}+{n_test} patients of class {label}, dataset has {len(ids)}"
+                f"class {label}: train set needs {n_train} and test set needs {n_test}, "
+                f"dataset has {len(ids)}"
             )
         order = rng.permutation(len(ids))
         picked = [ids[i] for i in order]

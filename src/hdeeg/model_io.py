@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import hv
 from .classifier import PipelineParams, TrainedModel
 from .memories import AssociativeMemory, ContinuousItemMemory, ItemMemory
 from .preprocess import ChannelStats
@@ -83,7 +84,9 @@ def load_model(path) -> TrainedModel:
         raise ModelFormatError(f"{path}: unreadable header ({exc})") from exc
     payload = body[newline + 1:]
     try:
+        fmt = header["format"]
         params = PipelineParams.from_dict(header["params"])
+        params.validate()
         channels = tuple(str(c) for c in header["channels"])
         stats = tuple(ChannelStats.from_dict(s) for s in header["channel_stats"])
         counts = {
@@ -95,6 +98,10 @@ def load_model(path) -> TrainedModel:
         test_ids = tuple(str(i) for i in header.get("test_ids", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: missing or malformed header field ({exc})") from exc
+    if fmt != 1:
+        raise ModelFormatError(f"{path}: unsupported snapshot format {fmt!r}")
+    if tuple(s.channel for s in stats) != channels:
+        raise ModelFormatError(f"{path}: channel stats do not match channels {channels}")
     arrays = {}
     offset = 0
     for desc in descriptors:
@@ -117,15 +124,26 @@ def load_model(path) -> TrainedModel:
         raise ModelFormatError(f"{path}: item memory shape mismatch")
     if arrays["level_memory"].shape != (params.level_count, params.dimension):
         raise ModelFormatError(f"{path}: level memory shape mismatch")
-    am = AssociativeMemory.from_state(
-        arrays["prototype_adhd"],
-        arrays["prototype_control"],
-        counts,
-        params.gate_threshold,
-    )
+    for name in ("item_memory", "level_memory"):
+        # Row by row, so the check holds no temporaries of a whole matrix.
+        if not all(hv.is_bipolar(row) for row in arrays[name]):
+            raise ModelFormatError(f"{path}: {name} is not bipolar")
+    for name in ("prototype_adhd", "prototype_control"):
+        if arrays[name].shape != (params.dimension,):
+            raise ModelFormatError(f"{path}: {name} shape mismatch")
+    try:
+        am = AssociativeMemory.from_state(
+            arrays["prototype_adhd"],
+            arrays["prototype_control"],
+            counts,
+            params.gate_threshold,
+        )
+        im = ItemMemory(channels, arrays["item_memory"])
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
     return TrainedModel(
         params=params,
-        item_memory=ItemMemory(channels, arrays["item_memory"]),
+        item_memory=im,
         level_memory=ContinuousItemMemory(arrays["level_memory"]),
         memory=am,
         channel_stats=stats,

@@ -1,6 +1,11 @@
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from hdeeg import Label, PipelineParams, SyntheticSpec, generate_synthetic
+from hdeeg.model_io import MAGIC, _ARRAY_DTYPES
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +37,31 @@ def small_counts():
     train = {Label.ADHD: 2, Label.CONTROL: 2}
     test = {Label.ADHD: 2, Label.CONTROL: 2}
     return train, test
+
+
+@pytest.fixture(scope="session")
+def rewrite_snapshot():
+    """``rewrite(src, dst, edit)``: copy a model snapshot through ``edit``.
+
+    ``edit(header, arrays)`` may change the header dict and the dict of
+    named arrays in place; array shapes in the header follow the arrays.
+    """
+
+    def rewrite(src, dst, edit):
+        data = Path(src).read_bytes()
+        newline = data.index(b"\n", len(MAGIC))
+        header = json.loads(data[len(MAGIC):newline])
+        arrays, offset = {}, newline + 1
+        for desc in header["arrays"]:
+            dtype = np.dtype(_ARRAY_DTYPES[desc["dtype"]])
+            nbytes = int(np.prod(desc["shape"])) * dtype.itemsize
+            chunk = data[offset : offset + nbytes]
+            arrays[desc["name"]] = np.frombuffer(chunk, dtype).reshape(desc["shape"]).copy()
+            offset += nbytes
+        edit(header, arrays)
+        for desc in header["arrays"]:
+            desc["shape"] = list(arrays[desc["name"]].shape)
+        blob = MAGIC + json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+        Path(dst).write_bytes(blob + b"".join(arrays[d["name"]].tobytes() for d in header["arrays"]))
+
+    return rewrite

@@ -226,16 +226,21 @@ def test_criterion_6_clinical_reproduction():
 @criterion(7, "byte-identical reruns through the CLI")
 def test_criterion_7_cli_determinism(tmp_path):
     outputs = []
+    trees = []
     for attempt in ("one", "two"):
         base = tmp_path / attempt
         data = base / "dataset"
         model = base / "model.bin"
         report = base / "report.json"
         sweep_csv = base / "sweep.csv"
+        preprocessed = base / "preprocessed"
         small = ["--dimension", "2000", "--levels", "50", "--drop", "256", "--seed", "9"]
         assert main(
             ["gen-synth", "--out", str(data), "--patients", "4", "--samples", "1792",
              "--seed", "21"]
+        ) == EXIT_OK
+        assert main(
+            ["preprocess", "--manifest", str(data), "--out", str(preprocessed), *small]
         ) == EXIT_OK
         assert main(
             ["train", "--manifest", str(data), "--out", str(model),
@@ -258,6 +263,7 @@ def test_criterion_7_cli_determinism(tmp_path):
                 sweep_csv.read_bytes(),
             )
         )
+        trees.append((_tree_digest(data / "patients"), _tree_digest(preprocessed)))
     assert outputs[0] == outputs[1]
     # Fixed digests, so a byte drift in the model, the eval report or the
     # sweep table between versions fails here, not only one between reruns.
@@ -267,6 +273,20 @@ def test_criterion_7_cli_determinism(tmp_path):
         "81a590608dc6b3f7af9bfdc33ce3db6e7f601b919c2729c1d34f0f0b398f32bc",
         "3a78b1fb30fa68a0d39c50c2e873fb733b7898218715fa331bea0ca4d8a4007f",
     ]
+    # The patient CSVs of gen-synth and the preprocess output tree.
+    assert trees[0] == trees[1] == (
+        "55f34e0c3b0df82779cd705ea608bba2239cf10f97cde2b04ba7352e1a325603",
+        "6c36c1d27225aa5ddaf206d9aa31896ac71bddef68ec6c76e5a83cd6f3b49c16",
+    )
+
+
+def _tree_digest(root):
+    """sha256 over every file under ``root``: relative path, then content digest."""
+    h = hashlib.sha256()
+    for f in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(f.relative_to(root).as_posix().encode() + b"\0")
+        h.update(hashlib.sha256(f.read_bytes()).digest())
+    return h.hexdigest()
 
 
 @criterion(8, "degenerate inputs and exit codes")

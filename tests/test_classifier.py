@@ -13,14 +13,17 @@ from hdeeg import (
     PatientPrediction,
     PipelineParams,
     QueryResult,
+    SyntheticSpec,
     compute_channel_stats,
     drop_initial,
     evaluate,
     classify_patient,
+    generate_synthetic,
     derive_seed,
     incremental_sweep,
     preprocess_recording,
     run_trial,
+    split,
     summarize,
     train,
 )
@@ -420,6 +423,32 @@ def test_sweep_final_point_matches_batch_training(sweep_result, prepared, small_
     model = train(quantized[: len(train_raw)], params_r, stats)
     report = evaluate(model, quantized[len(train_raw):])
     assert report.accuracy_pct == run.accuracies[-1]
+
+    # 128 channels: held-out window values leave int8's range, so the
+    # sweep keeps them as int64.
+    spec = SyntheticSpec(
+        patients_per_class=3, samples=768, channels=tuple(f"c{i}" for i in range(128))
+    )
+    manifest, recordings = generate_synthetic(spec)
+    wide = replace(small_params, dimension=256)
+    run = incremental_sweep(
+        manifest, recordings, test_size=2, max_train=4, runs=1, seed=5, params=wide
+    ).runs[0]
+    params_r = replace(wide, seed=run.run_seed)
+    raw = {r.patient_id: r for r in recordings}
+    train_raw = pick(raw, *run.train_order)
+    test_raw = pick(raw, *run.test_ids)
+    stats, quantized = quantize_all([*train_raw, *test_raw], params_r, stats_pool=train_raw)
+    model = train(quantized[: len(train_raw)], params_r, stats)
+    assert evaluate(model, quantized[len(train_raw):]).accuracy_pct == run.accuracies[-1]
+
+
+def test_sweep_test_sets_follow_split_policy(sweep_result, small_dataset):
+    manifest, _ = small_dataset
+    counts = {Label.ADHD: 1, Label.CONTROL: 1}
+    for run in sweep_result.runs:
+        _, test_ids = split(manifest, {}, counts, derive_seed(run.run_seed, "split"))
+        assert run.test_ids == tuple(test_ids)
 
 
 def test_sweep_is_deterministic(small_dataset, small_params):

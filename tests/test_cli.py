@@ -185,6 +185,20 @@ def test_eval_corrupt_model_is_data_error(dataset_dir, tmp_path):
     assert code == EXIT_DATA
 
 
+def test_eval_short_prototypes_is_data_error(dataset_dir, model_path, tmp_path, rewrite_snapshot):
+    def edit(header, arrays):
+        for name in ("prototype_adhd", "prototype_control"):
+            arrays[name] = arrays[name][:-2]
+
+    bad = tmp_path / "short.bin"
+    rewrite_snapshot(model_path, bad, edit)
+    code = main(
+        ["eval", "--manifest", str(dataset_dir), "--model", str(bad),
+         "--report", str(tmp_path / "r.json")]
+    )
+    assert code == EXIT_DATA
+
+
 # ------------------------------------------------------------------- sweep
 
 

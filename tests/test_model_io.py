@@ -162,6 +162,84 @@ def test_rejects_corrupted_shape(trained, tmp_path):
         load_model(path)
 
 
+def _saved(model, tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    return path
+
+
+def test_rejects_unsupported_format(trained, tmp_path, rewrite_snapshot):
+    path = _saved(trained[0], tmp_path)
+    same, bad = tmp_path / "same.bin", tmp_path / "bad.bin"
+    rewrite_snapshot(path, same, lambda header, arrays: None)
+    assert same.read_bytes() == path.read_bytes()
+    rewrite_snapshot(path, bad, lambda header, arrays: header.update(format=99))
+    with pytest.raises(ModelFormatError, match="format 99"):
+        load_model(bad)
+
+
+def test_rejects_params_that_fail_validation(trained, tmp_path, rewrite_snapshot):
+    def edit(header, arrays):
+        header["params"].update(clip_low_pct=99.9, clip_high_pct=1.0)
+
+    bad = tmp_path / "bad.bin"
+    rewrite_snapshot(_saved(trained[0], tmp_path), bad, edit)
+    with pytest.raises(ModelFormatError, match="percentiles"):
+        load_model(bad)
+
+
+def test_rejects_short_prototypes(trained, tmp_path, rewrite_snapshot):
+    def edit(header, arrays):
+        for name in ("prototype_adhd", "prototype_control"):
+            arrays[name] = arrays[name][:-2]
+
+    bad = tmp_path / "bad.bin"
+    rewrite_snapshot(_saved(trained[0], tmp_path), bad, edit)
+    with pytest.raises(ModelFormatError, match="prototype_adhd shape"):
+        load_model(bad)
+
+
+@pytest.mark.parametrize("name", ["item_memory", "level_memory"])
+def test_rejects_non_bipolar_memory(trained, tmp_path, rewrite_snapshot, name):
+    def edit(header, arrays):
+        arrays[name][0, 0] = 5
+
+    bad = tmp_path / "bad.bin"
+    rewrite_snapshot(_saved(trained[0], tmp_path), bad, edit)
+    with pytest.raises(ModelFormatError, match=f"{name} is not bipolar"):
+        load_model(bad)
+
+
+def test_rejects_channel_stats_for_other_channels(trained, tmp_path, rewrite_snapshot):
+    def edit(header, arrays):
+        header["channel_stats"][0]["channel"] = "Pz"
+
+    bad = tmp_path / "bad.bin"
+    rewrite_snapshot(_saved(trained[0], tmp_path), bad, edit)
+    with pytest.raises(ModelFormatError, match="channel stats"):
+        load_model(bad)
+
+
+def _negative_bundle_count(header, arrays):
+    header["bundle_counts"]["ADHD"] = -1
+
+
+def _duplicate_channels(header, arrays):
+    header["channels"] = ["F4", "F4"]
+    header["channel_stats"][1]["channel"] = "F4"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(_negative_bundle_count, "negative bundle count"), (_duplicate_channels, "duplicate channel")],
+)
+def test_rejects_inconsistent_memory_state(trained, tmp_path, rewrite_snapshot, edit, message):
+    bad = tmp_path / "bad.bin"
+    rewrite_snapshot(_saved(trained[0], tmp_path), bad, edit)
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(bad)
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_model(tmp_path / "nope.bin")
