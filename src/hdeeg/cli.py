@@ -29,7 +29,7 @@ from .dataio import (
     write_dataset,
 )
 from .memories import UntrainedMemoryError
-from .model_io import ModelFormatError, load_model, save_model
+from .model_io import ModelFormatError, load_model, save_model, snapshot_header
 from .preprocess import (
     clip,
     compute_channel_stats,
@@ -148,10 +148,8 @@ def cmd_preprocess(args) -> int:
     dropped = [drop_initial(rec, params.drop_samples) for rec in recordings]
     stats = compute_channel_stats(dropped, params.clip_low_pct, params.clip_high_pct)
     out = Path(args.out)
-    for rec in recordings:
-        conditioned = downsample_mean(
-            clip(drop_initial(rec, params.drop_samples), stats), params.downsample_factor
-        )
+    for rec in dropped:
+        conditioned = downsample_mean(clip(rec, stats), params.downsample_factor)
         levels = quantize(conditioned, stats, params.level_count).levels
         write_csv(out / "signals" / f"{rec.patient_id}.csv", manifest.channels, conditioned.samples)
         write_csv(out / "levels" / f"{rec.patient_id}.csv", manifest.channels, levels)
@@ -250,20 +248,10 @@ def cmd_inspect_model(args) -> int:
     import numpy as np
 
     model = load_model(args.model)
-    tree = {
-        "params": model.params.to_dict(),
-        "channels": list(model.channels),
-        "channel_stats": [s.to_dict() for s in model.channel_stats],
-        "bundle_counts": {
-            str(label): model.memory.bundle_count(label)
-            for label in (Label.ADHD, Label.CONTROL)
-        },
-        "prototype_norms": {
-            str(label): float(np.linalg.norm(model.memory.prototype(label)))
-            for label in (Label.ADHD, Label.CONTROL)
-        },
-        "train_ids": list(model.train_ids),
-        "test_ids": list(model.test_ids),
+    tree = snapshot_header(model)
+    del tree["format"], tree["arrays"]
+    tree["prototype_norms"] = {
+        str(label): float(np.linalg.norm(model.memory.prototype(label))) for label in Label
     }
     print(json.dumps(tree, indent=2, sort_keys=True))
     return EXIT_OK

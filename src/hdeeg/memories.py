@@ -51,7 +51,7 @@ class ItemMemory:
             raise ValueError("need one vector row per channel name")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate channel names: {names}")
-        if any(not n for n in names):
+        if not names or any(not n for n in names):
             raise ValueError("channel names must be nonempty")
         self._names = names
         self._vectors = _freeze(vectors.astype(hv.BIPOLAR_DTYPE, copy=True))
@@ -215,24 +215,28 @@ class AssociativeMemory:
             raise ValueError("prototype updates take integer vectors")
         if not vec.any():
             raise ValueError("cannot accumulate an all-zero vector")
-        proto = self._prototypes[label]
         if self._counts[label] == 0:
             accept = True
         else:
-            accept = hv.cosine_similarity(vec, proto) < self.gate_threshold
+            qf = vec.astype(np.float64)
+            accept = self._similarity(qf, math.sqrt(qf @ qf), label) < self.gate_threshold
         if accept:
-            proto += vec
+            self._prototypes[label] += vec
             self._counts[label] += 1
             self._norms.pop(label, None)
         return self
 
-    def _cached(self, label: Label):
+    def _similarity(self, qf: np.ndarray, qn: float, label: Label) -> float:
+        """(q . p) / (|q| |p|) for float64 ``qf`` of norm ``qn``; p's cast and norm are cached."""
         cached = self._norms.get(label)
         if cached is None:
             pf = self._prototypes[label].astype(np.float64)
             cached = (pf, math.sqrt(pf @ pf))
             self._norms[label] = cached
-        return cached
+        pf, pn = cached
+        if pn == 0.0:
+            raise hv.UndefinedSimilarityError("a class prototype cancelled to all zeros")
+        return float((qf @ pf) / (qn * pn))
 
     def query(self, vector: np.ndarray) -> QueryResult:
         """Nearest class by cosine similarity; strict ties go to CONTROL.
@@ -250,13 +254,7 @@ class AssociativeMemory:
         qn = math.sqrt(qf @ qf)
         if qn == 0.0:
             raise hv.UndefinedSimilarityError("cosine similarity of an all-zero vector is undefined")
-        # Same arithmetic as hv.cosine_similarity(vector, prototype),
-        # with the prototype cast and norm cached between updates.
-        pa, na = self._cached(Label.ADHD)
-        pc, nc = self._cached(Label.CONTROL)
-        if na == 0.0 or nc == 0.0:
-            raise hv.UndefinedSimilarityError("a class prototype cancelled to all zeros")
-        sim_a = float((qf @ pa) / (qn * na))
-        sim_c = float((qf @ pc) / (qn * nc))
+        sim_a = self._similarity(qf, qn, Label.ADHD)
+        sim_c = self._similarity(qf, qn, Label.CONTROL)
         label = Label.ADHD if sim_a > sim_c else Label.CONTROL
         return QueryResult(label, sim_a, sim_c)

@@ -1,12 +1,15 @@
 """End-to-end command line flows, exit codes, and environment overrides."""
 
+import hashlib
 import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hdeeg
 from hdeeg import load_dataset, load_model
 from hdeeg.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
@@ -199,6 +202,16 @@ def test_eval_short_prototypes_is_data_error(dataset_dir, model_path, tmp_path, 
     assert code == EXIT_DATA
 
 
+def test_eval_float_ngram_size_is_data_error(dataset_dir, model_path, tmp_path, rewrite_snapshot):
+    bad = tmp_path / "float_ngram.bin"
+    rewrite_snapshot(model_path, bad, lambda header, arrays: header["params"].update(ngram_size=32.0))
+    code = main(
+        ["eval", "--manifest", str(dataset_dir), "--model", str(bad),
+         "--report", str(tmp_path / "r.json")]
+    )
+    assert code == EXIT_DATA
+
+
 # ------------------------------------------------------------------- sweep
 
 
@@ -235,6 +248,12 @@ def test_inspect_model_prints_summary(model_path, capsys):
     assert doc["channels"] == ["F4", "Cz"]
 
 
+def test_inspect_model_output_is_pinned(model_path, capsys):
+    assert main(["inspect-model", "--model", str(model_path)]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "d3ecacd448c27ad6c8c73b3808c2f52a876d3d78fffd5046986ba5c0631a5132"
+
+
 # ------------------------------------------------------------- environment
 
 
@@ -268,8 +287,11 @@ def test_unparseable_env_var_is_usage_error(dataset_dir, tmp_path, monkeypatch):
 
 
 def test_module_entrypoint():
+    # Run beside the imported package, so the child imports the same hdeeg
+    # whether or not PYTHONPATH names it.
     proc = subprocess.run(
-        [sys.executable, "-m", "hdeeg.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "hdeeg.cli", "--help"], capture_output=True, text=True,
+        cwd=Path(hdeeg.__file__).resolve().parents[1],
     )
     assert proc.returncode == 0
     assert "gen-synth" in proc.stdout

@@ -288,6 +288,14 @@ def test_am_cancelled_prototype_errors():
         am.query(np.ones(4, dtype=np.int64))
 
 
+def test_am_gate_on_cancelled_prototype_errors():
+    am = AssociativeMemory(4)
+    _fill(am, [1, 1, -1, -1], Label.ADHD)
+    _fill(am, [-1, -1, 1, 1], Label.ADHD)
+    with pytest.raises(UndefinedSimilarityError, match="cancelled"):
+        am.update(np.ones(4, dtype=np.int64), Label.ADHD)
+
+
 def test_am_prototype_view_read_only():
     am = AssociativeMemory(4)
     _fill(am, [1, 1, 1, 1], Label.ADHD)

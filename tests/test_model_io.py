@@ -1,7 +1,10 @@
 """Model snapshot format: exact round-trips and corruption handling."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hdeeg import (
     Label,
@@ -11,6 +14,7 @@ from hdeeg import (
     run_trial,
     save_model,
 )
+from hdeeg.model_io import MAGIC
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +121,13 @@ def test_rejects_unparseable_header(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"hdeeg-model-v1\n" + b"{not json}\n")
     with pytest.raises(ModelFormatError, match="header"):
+        load_model(path)
+
+
+def test_rejects_deeply_nested_header(tmp_path):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(MAGIC + b"[" * 100_000 + b"\n")
+    with pytest.raises(ModelFormatError, match="unreadable header"):
         load_model(path)
 
 
@@ -229,9 +240,18 @@ def _duplicate_channels(header, arrays):
     header["channel_stats"][1]["channel"] = "F4"
 
 
+def _no_channels(header, arrays):
+    header["channels"], header["channel_stats"] = [], []
+    arrays["item_memory"] = arrays["item_memory"][:0]
+
+
 @pytest.mark.parametrize(
     "edit, message",
-    [(_negative_bundle_count, "negative bundle count"), (_duplicate_channels, "duplicate channel")],
+    [
+        (_negative_bundle_count, "negative bundle count"),
+        (_duplicate_channels, "duplicate channel"),
+        (_no_channels, "channel names must be nonempty"),
+    ],
 )
 def test_rejects_inconsistent_memory_state(trained, tmp_path, rewrite_snapshot, edit, message):
     bad = tmp_path / "bad.bin"
@@ -243,3 +263,88 @@ def test_rejects_inconsistent_memory_state(trained, tmp_path, rewrite_snapshot, 
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_model(tmp_path / "nope.bin")
+
+
+def _set_header(path, edit):
+    """Rewrite the header line of the snapshot at ``path`` through ``edit``."""
+    data = path.read_bytes()
+    newline = data.index(b"\n", len(MAGIC))
+    header = json.loads(data[len(MAGIC):newline])
+    edit(header)
+    line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(MAGIC + line + data[newline:])
+
+
+def _set_param(name, value):
+    return lambda header: header["params"].update({name: value})
+
+
+PROBE_HEADERS = {
+    "array_list_is_a_number": lambda header: header.update(arrays=5),
+    "descriptor_without_name": lambda header: header["arrays"][0].pop("name"),
+    "float_shape": lambda header: header["arrays"][0].update(shape=[2, 2000.0]),
+    "float_ngram_size": _set_param("ngram_size", 32.0),
+    "float_dimension": _set_param("dimension", 2000.0),
+    "int_gate_threshold": _set_param("gate_threshold", 0),
+    "string_train_ids": lambda header: header.update(train_ids="abc"),
+    "fractional_bundle_count": lambda header: header["bundle_counts"].update(ADHD=1.5),
+    "float_format": lambda header: header.update(format=1.0),
+    "unknown_key": lambda header: header.update(comment="hand edited"),
+    "infinite_bundle_count": lambda header: header["bundle_counts"].update(ADHD=float("inf")),
+    "nan_ngram_size": _set_param("ngram_size", float("nan")),
+}
+
+
+@pytest.mark.parametrize("edit", PROBE_HEADERS.values(), ids=PROBE_HEADERS.keys())
+def test_rejects_header_save_model_would_not_write(trained, tmp_path, edit):
+    path = _saved(trained[0], tmp_path)
+    _set_header(path, edit)
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+@pytest.fixture(scope="module")
+def snapshot(trained, tmp_path_factory):
+    """The fixture model's snapshot bytes and a directory to write variants in."""
+    workdir = tmp_path_factory.mktemp("fuzz")
+    path = workdir / "model.bin"
+    save_model(trained[0], path)
+    return path.read_bytes(), workdir
+
+
+_BYTES = st.one_of(st.integers(0, 255), st.sampled_from(b'0123456789.-eE+"[]{},:'))
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_load_model_fails_closed_or_round_trips(snapshot, data):
+    blob, workdir = snapshot
+    header_end = blob.index(b"\n", len(MAGIC))
+    region = data.draw(st.sampled_from(["header", "payload", "truncate"]))
+    if region == "truncate":
+        mutated = bytearray(blob[: data.draw(st.integers(0, len(blob) - 1))])
+    else:
+        lo, hi = (0, header_end + 1) if region == "header" else (header_end + 1, len(blob))
+        mutated = bytearray(blob)
+        for _ in range(data.draw(st.integers(1, 3))):
+            pos = data.draw(st.integers(lo, min(hi, len(mutated)) - 1))
+            kind = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+            if kind == "delete":
+                del mutated[pos]
+            elif kind == "insert":
+                mutated.insert(pos, data.draw(_BYTES))
+            else:
+                mutated[pos] = data.draw(_BYTES)
+    path, resaved = workdir / "mutated.bin", workdir / "resaved.bin"
+    path.write_bytes(mutated)
+    try:
+        model = load_model(path)
+    except ModelFormatError:
+        return
+    save_model(model, resaved)
+    assert resaved.read_bytes() == mutated
