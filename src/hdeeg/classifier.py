@@ -8,6 +8,7 @@ a patient counts as correctly classified only when strictly more than
 half of its windows got the true label.
 """
 
+import math
 import statistics
 from dataclasses import dataclass, field, replace
 
@@ -73,12 +74,39 @@ class PipelineParams:
             raise ValueError(f"drop count must be nonnegative, got {self.drop_samples}")
         if self.downsample_factor < 1:
             raise ValueError(f"downsample factor must be at least 1, got {self.downsample_factor}")
+        if not math.isfinite(self.gate_threshold):
+            raise ValueError(f"gate threshold must be finite, got {self.gate_threshold}")
         if not 0.0 <= self.clip_low_pct < self.clip_high_pct <= 100.0:
             raise ValueError(
                 "percentiles must satisfy 0 <= low < high <= 100, got "
                 f"({self.clip_low_pct}, {self.clip_high_pct})"
             )
         check_seed(self.seed)
+
+    def check_length(self, rec: EegRecording, *, whole_windows: bool = True) -> None:
+        """Reject a recording the pipeline cannot cut without a remainder.
+
+        After drop_samples the rest must be a whole number k >= 1 of
+        blocks: downsample_factor samples each, or, with ``whole_windows``
+        (every command that encodes), downsample_factor * ngram_size
+        samples, one window.  Raises DataValidationError naming the
+        patient, its sample count and a length that fits.
+        """
+        block = self.downsample_factor * (self.ngram_size if whole_windows else 1)
+        n = rec.samples.shape[0]
+        if n > self.drop_samples and (n - self.drop_samples) % block == 0:
+            return
+        fit = self.drop_samples + max(1, (n - self.drop_samples) // block) * block
+        unit = (
+            f"{self.ngram_size}-sample windows after {self.downsample_factor}:1 downsampling"
+            if whole_windows
+            else f"blocks of {self.downsample_factor} for {self.downsample_factor}:1 downsampling"
+        )
+        raise DataValidationError(
+            f"{rec.patient_id}: {n} samples, but a recording must hold "
+            f"{self.drop_samples} + k * {block} samples for a whole k >= 1 "
+            f"({self.drop_samples} dropped, then {unit}); {fit} samples would fit"
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -303,8 +331,9 @@ def evaluate(model: TrainedModel, test_set) -> EvalReport:
 def _prepare(manifest, recordings, train_ids, test_ids, params: PipelineParams, stats_scope):
     """Channel stats from the stats pool, then the full chain on both splits.
 
-    Every manifest patient needs a recording.  With stats_scope "train"
-    the pool is the training split, with "all" every manifest patient.
+    Every manifest patient needs a recording that splits into whole
+    windows (PipelineParams.check_length).  With stats_scope "train" the
+    pool is the training split, with "all" every manifest patient.
     Returns (stats, q_train, q_test).
     """
     if stats_scope not in ("train", "all"):
@@ -313,6 +342,8 @@ def _prepare(manifest, recordings, train_ids, test_ids, params: PipelineParams, 
     missing = [p.id for p in manifest.patients if p.id not in by_id]
     if missing:
         raise ValueError(f"recordings missing for patient(s) {missing}")
+    for p in manifest.patients:
+        params.check_length(by_id[p.id])
     pool_ids = train_ids if stats_scope == "train" else [p.id for p in manifest.patients]
     dropped = [drop_initial(by_id[i], params.drop_samples) for i in pool_ids]
     stats = compute_channel_stats(dropped, params.clip_low_pct, params.clip_high_pct)

@@ -145,6 +145,8 @@ def cmd_gen_synth(args) -> int:
 def cmd_preprocess(args) -> int:
     params = _params_from(args)
     manifest, recordings = load_dataset(args.manifest)
+    for rec in recordings:
+        params.check_length(rec, whole_windows=False)
     dropped = [drop_initial(rec, params.drop_samples) for rec in recordings]
     stats = compute_channel_stats(dropped, params.clip_low_pct, params.clip_high_pct)
     out = Path(args.out)
@@ -194,6 +196,8 @@ def cmd_eval(args) -> int:
     missing = [i for i in model.test_ids if i not in by_id]
     if missing:
         raise DataValidationError(f"dataset lacks the model's test patient(s) {missing}")
+    for rec in recordings:
+        model.params.check_length(rec)
     q_test = [
         preprocess_recording(
             by_id[i],

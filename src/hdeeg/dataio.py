@@ -10,6 +10,7 @@ The manifest holds ``name``, ``sample_rate_hz``, ``channels`` (ordered)
 and ``patients`` (objects with ``id``, ``label``, ``path`` relative to the
 root).  Patient CSVs start with a header row of the channel names in
 manifest order followed by one row of decimal microvolt values per sample.
+A value is any text Python's float() accepts; blank lines are rejected.
 Floats are written with repr, so write-then-load round-trips exactly.
 """
 
@@ -70,8 +71,10 @@ class DatasetManifest:
         ids = [p.id for p in self.patients]
         if len(set(ids)) != len(ids):
             raise DataValidationError("duplicate patient ids in manifest")
-        if self.sample_rate_hz <= 0:
-            raise DataValidationError("sample rate must be positive")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise DataValidationError(
+                f"sample rate must be positive and finite, got {self.sample_rate_hz}"
+            )
 
     def labels(self) -> dict:
         return {p.id: p.label for p in self.patients}
@@ -107,8 +110,7 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def _parse_patient_csv(path: Path, patient: PatientEntry, channels) -> np.ndarray:
-    text = path.read_text()
-    lines = text.splitlines()
+    lines = path.read_text().splitlines()
     if not lines:
         raise DataValidationError(f"{patient.id}: {path} is empty")
     header = tuple(h.strip() for h in lines[0].split(","))
@@ -116,9 +118,34 @@ def _parse_patient_csv(path: Path, patient: PatientEntry, channels) -> np.ndarra
         raise DataValidationError(
             f"{patient.id}: header {header} does not match manifest channels {tuple(channels)}"
         )
+    rows = lines[1:]
+    samples = None
+    if any(rows):  # all rows blank: loadtxt would only warn "no data"
+        # numpy's C reader parses each field with the routine float() uses,
+        # so the values are bit-identical where it accepts the text.  It
+        # skips blank lines, hence the shape check; every file it refuses
+        # or would read short goes to the row scanner, which alone words
+        # the errors and also takes float() syntax the reader refuses.
+        try:
+            samples = np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            pass
+    if samples is None or samples.shape != (len(rows), len(channels)):
+        samples = _scan_rows(rows, path, patient, channels)
+    bad = np.argwhere(~np.isfinite(samples))
+    if bad.size:
+        r, c = bad[0]
+        raise DataValidationError(
+            f"{patient.id}: non-finite value at sample {int(r)}, channel {channels[int(c)]}"
+        )
+    return samples
+
+
+def _scan_rows(rows, path: Path, patient: PatientEntry, channels) -> np.ndarray:
+    """Parse data rows one by one with float(); the first bad row raises."""
     n_ch = len(channels)
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    values = []
+    for lineno, line in enumerate(rows, start=2):
         parts = line.split(",")
         if len(parts) != n_ch:
             short = list(channels[len(parts):]) if len(parts) < n_ch else []
@@ -127,21 +154,14 @@ def _parse_patient_csv(path: Path, patient: PatientEntry, channels) -> np.ndarra
                 f"{patient.id}: row {lineno} has {len(parts)} values, expected {n_ch}{detail}"
             )
         try:
-            rows.append([float(p) for p in parts])
+            values.append([float(p) for p in parts])
         except ValueError:
             raise DataValidationError(
                 f"{patient.id}: row {lineno} holds a non-numeric value"
             ) from None
-    if not rows:
+    if not values:
         raise DataValidationError(f"{patient.id}: no samples in {path}")
-    samples = np.asarray(rows, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(samples))
-    if bad.size:
-        r, c = bad[0]
-        raise DataValidationError(
-            f"{patient.id}: non-finite value at sample {int(r)}, channel {channels[int(c)]}"
-        )
-    return samples
+    return np.asarray(values, dtype=np.float64)
 
 
 def load_dataset(path):
@@ -229,8 +249,8 @@ class SyntheticSpec:
             raise ValueError("need at least one patient per class")
         if self.samples < 1:
             raise ValueError("need at least one sample")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample rate must be positive")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ValueError(f"sample rate must be positive and finite, got {self.sample_rate_hz}")
         if not self.channels or len(set(self.channels)) != len(self.channels):
             raise ValueError("channels must be a nonempty unique sequence")
         nyquist = self.sample_rate_hz / 16.0

@@ -47,8 +47,11 @@ class EegRecording:
             raise ValueError(
                 f"{self.patient_id}: samples must be (n, {len(self.channels)}), got {samples.shape}"
             )
-        if self.sample_rate_hz <= 0:
-            raise ValueError(f"{self.patient_id}: sample rate must be positive")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ValueError(
+                f"{self.patient_id}: sample rate must be positive and finite, "
+                f"got {self.sample_rate_hz}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,7 @@ import pytest
 from hdeeg import (
     DatasetManifest,
     DataValidationError,
+    EegRecording,
     Label,
     PatientPrediction,
     PipelineParams,
@@ -83,6 +84,45 @@ def test_params_validate_rejects_bad_values():
 def test_params_dict_round_trip():
     p = PipelineParams(dimension=4000, seed=17, gate_threshold=0.25)
     assert PipelineParams.from_dict(p.to_dict()) == p
+
+
+@pytest.mark.parametrize("gate", [float("nan"), float("inf"), float("-inf")])
+def test_params_validate_rejects_non_finite_gate(gate):
+    with pytest.raises(ValueError, match="gate threshold must be finite"):
+        PipelineParams(gate_threshold=gate).validate()
+
+
+@pytest.mark.parametrize(
+    "samples, whole_windows, fit",
+    [
+        (1792, True, None),  # 192 quantized samples: 6 windows of 32
+        (256 + 256, True, None),
+        (1300, True, 1280),
+        (256, True, 512),  # nothing left after the drop
+        (200, True, 512),
+        (1800, True, 1792),  # whole 8-blocks, not whole windows
+        (1800, False, None),
+        (1300, False, 1296),
+    ],
+)
+def test_check_length_policy(small_params, samples, whole_windows, fit):
+    rec = EegRecording("p", Label.ADHD, ("F4",), np.zeros((samples, 1)), 256.0)
+    if fit is None:
+        small_params.check_length(rec, whole_windows=whole_windows)
+        return
+    with pytest.raises(DataValidationError, match=f"p: {samples} samples") as info:
+        small_params.check_length(rec, whole_windows=whole_windows)
+    block = 256 if whole_windows else 8
+    assert f"256 + k * {block} samples" in str(info.value)
+    assert str(info.value).endswith(f"; {fit} samples would fit")
+
+
+def test_run_trial_rejects_partial_windows(small_params, small_counts):
+    manifest, recordings = generate_synthetic(
+        SyntheticSpec(patients_per_class=4, samples=1800, seed=21)
+    )
+    with pytest.raises(DataValidationError, match="adhd-001: 1800 samples"):
+        run_trial(manifest, recordings, small_params, *small_counts)
 
 
 # ------------------------------------------------------------------- train

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hdeeg
-from hdeeg import load_dataset, load_model
+from hdeeg import classifier, load_dataset, load_model
 from hdeeg.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 SMALL = ["--dimension", "2000", "--levels", "50", "--drop", "256", "--seed", "9"]
@@ -76,6 +76,13 @@ def test_gen_synth_invalid_frequency_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate", ["inf", "nan"])
+def test_gen_synth_non_finite_rate_is_usage_error(tmp_path, rate):
+    out = tmp_path / "ds"
+    assert main(["gen-synth", "--out", str(out), "--patients", "2", "--rate", rate]) == EXIT_USAGE
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- preprocess
 
 
@@ -126,6 +133,26 @@ def test_train_insufficient_patients_is_data_error(dataset_dir, tmp_path):
          "--train-adhd", "4", "--train-control", "4",
          "--test-adhd", "4", "--test-control", "4", *SMALL]
     )
+    assert code == EXIT_DATA
+
+
+def test_train_non_finite_gate_is_usage_error(dataset_dir, tmp_path, monkeypatch):
+    out = tmp_path / "m.bin"
+    argv = ["train", "--manifest", str(dataset_dir), "--out", str(out), *COUNTS, *SMALL]
+    assert main([*argv, "--gate", "nan"]) == EXIT_USAGE
+    monkeypatch.setenv("HDEEG_GATE", "inf")
+    assert main(argv) == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_train_non_finite_manifest_rate_is_data_error(dataset_dir, tmp_path, token):
+    root = tmp_path / "ds"
+    shutil.copytree(dataset_dir, root)
+    manifest = root / "manifest.json"
+    doc = manifest.read_text().replace('"sample_rate_hz": 256.0', f'"sample_rate_hz": {token}')
+    manifest.write_text(doc)
+    code = main(["train", "--manifest", str(root), "--out", str(tmp_path / "m.bin"), *COUNTS, *SMALL])
     assert code == EXIT_DATA
 
 
@@ -210,6 +237,74 @@ def test_eval_float_ngram_size_is_data_error(dataset_dir, model_path, tmp_path, 
          "--report", str(tmp_path / "r.json")]
     )
     assert code == EXIT_DATA
+
+
+def test_non_finite_gate_snapshot_is_data_error(dataset_dir, model_path, tmp_path, rewrite_snapshot):
+    bad = tmp_path / "nan_gate.bin"
+    nan_gate = lambda header, arrays: header["params"].update(gate_threshold=float("nan"))
+    rewrite_snapshot(model_path, bad, nan_gate)
+    code = main(
+        ["eval", "--manifest", str(dataset_dir), "--model", str(bad),
+         "--report", str(tmp_path / "r.json")]
+    )
+    assert code == EXIT_DATA
+    assert main(["inspect-model", "--model", str(bad)]) == EXIT_DATA
+
+
+# ------------------------------------------------------ length policy
+
+
+@pytest.fixture(scope="module", params=[1300, 1800, 200])
+def uneven_dataset(request, tmp_path_factory):
+    """Recordings that do not split into whole windows at SMALL's params:
+    1300 - 256 is not a multiple of 8, 1800 - 256 is one of 8 but not of
+    8 * 32, and 200 is shorter than the drop."""
+    root = tmp_path_factory.mktemp(f"uneven{request.param}")
+    code = main(
+        ["gen-synth", "--out", str(root), "--patients", "4",
+         "--samples", str(request.param), "--seed", "21"]
+    )
+    assert code == EXIT_OK
+    return root, request.param
+
+
+def test_partial_windows_are_data_errors_before_encoding(
+    uneven_dataset, model_path, tmp_path, monkeypatch, capsys
+):
+    root, samples = uneven_dataset
+
+    def no_encoding(*args, **kwargs):
+        raise AssertionError("encoded a recording before checking its length")
+
+    monkeypatch.setattr(classifier, "encode_windows", no_encoding)
+    commands = {
+        "train": ["train", "--manifest", str(root), "--out", str(tmp_path / "m.bin"),
+                  *COUNTS, *SMALL],
+        "eval": ["eval", "--manifest", str(root), "--model", str(model_path),
+                 "--report", str(tmp_path / "r.json")],
+        "sweep": ["sweep", "--manifest", str(root), "--out", str(tmp_path / "s.csv"),
+                  "--test-size", "2", "--max-train", "2", "--runs", "1", *SMALL],
+    }
+    for name, argv in commands.items():
+        assert main(argv) == EXIT_DATA, name
+        err = capsys.readouterr().err
+        assert f"adhd-001: {samples} samples" in err, name
+        assert "256 + k * 256 samples" in err, name
+    assert not any(tmp_path.iterdir())
+
+
+def test_preprocess_needs_whole_downsampling_blocks(uneven_dataset, tmp_path, capsys):
+    root, samples = uneven_dataset
+    out = tmp_path / "prep"
+    code = main(["preprocess", "--manifest", str(root), "--out", str(out), *SMALL])
+    if samples == 1800:
+        assert code == EXIT_OK
+        return
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"adhd-001: {samples} samples" in err
+    assert "256 + k * 8 samples" in err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- sweep

@@ -1,10 +1,11 @@
 """Dataset round-trips, CSV validation, synthetic fixtures, splits."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hdeeg import (
@@ -62,6 +63,23 @@ def test_manifest_validation():
         DatasetManifest("x", 256.0, ("F4",), dup)
     with pytest.raises(DataValidationError):
         DatasetManifest("x", 0.0, ("F4",), (PatientEntry("a", Label.ADHD, "a.csv"),))
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+def test_manifest_rejects_non_finite_sample_rate(rate):
+    with pytest.raises(DataValidationError, match="sample rate must be positive and finite"):
+        DatasetManifest("x", rate, ("F4",), (PatientEntry("a", Label.ADHD, "a.csv"),))
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", '"inf"'])
+def test_load_manifest_rejects_non_finite_sample_rate(tmp_path, token):
+    m = tiny_manifest()
+    write_dataset(tmp_path, m, tiny_recordings(m))
+    path = tmp_path / "manifest.json"
+    doc = path.read_text().replace('"sample_rate_hz": 256.0', f'"sample_rate_hz": {token}')
+    path.write_text(doc)
+    with pytest.raises(DataValidationError, match="sample rate must be positive and finite"):
+        load_manifest(tmp_path)
 
 
 def test_manifest_lookups():
@@ -200,6 +218,134 @@ def test_load_dataset_unequal_lengths(tmp_path):
         load_dataset(tmp_path)
 
 
+# ------------------------------------------------- csv reader vs oracle
+# The row-by-row parser load_dataset used before it read whole files with
+# numpy, kept verbatim as the reference: on any text the reader must give
+# the same array bit for bit, or the same DataValidationError message.
+
+
+def oracle_parse_patient_csv(path, patient, channels):
+    text = path.read_text()
+    lines = text.splitlines()
+    if not lines:
+        raise DataValidationError(f"{patient.id}: {path} is empty")
+    header = tuple(h.strip() for h in lines[0].split(","))
+    if header != tuple(channels):
+        raise DataValidationError(
+            f"{patient.id}: header {header} does not match manifest channels {tuple(channels)}"
+        )
+    n_ch = len(channels)
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != n_ch:
+            short = list(channels[len(parts):]) if len(parts) < n_ch else []
+            detail = f"; missing channel(s) {short}" if short else ""
+            raise DataValidationError(
+                f"{patient.id}: row {lineno} has {len(parts)} values, expected {n_ch}{detail}"
+            )
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise DataValidationError(
+                f"{patient.id}: row {lineno} holds a non-numeric value"
+            ) from None
+    if not rows:
+        raise DataValidationError(f"{patient.id}: no samples in {path}")
+    samples = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(samples))
+    if bad.size:
+        r, c = bad[0]
+        raise DataValidationError(
+            f"{patient.id}: non-finite value at sample {int(r)}, channel {channels[int(c)]}"
+        )
+    return samples
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=30)
+
+_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.integers(0, 2**64 - 1).map(lambda bits: repr(struct.unpack("<d", bits.to_bytes(8, "little"))[0])),
+    st.builds(
+        lambda sign, whole, frac, exp: f"{sign}{whole}{frac}{exp}",
+        st.sampled_from(["", "+", "-"]),
+        _DIGITS | st.just(""),
+        st.just("") | _DIGITS.map(lambda d: "." + d) | st.just("."),
+        st.just("")
+        | st.builds(
+            lambda e, sign, n: f"{e}{sign}{n}",
+            st.sampled_from("eE"),
+            st.sampled_from(["", "+", "-"]),
+            st.integers(0, 330),
+        ),
+    ),
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "+inf", "-Infinity", "1e400", "-1e-400"]),
+)
+
+_TOKENS = st.one_of(
+    _NUMBERS,
+    st.builds(lambda pad, x, tail: pad + x + tail, st.sampled_from([" ", "\t", "  "]), _NUMBERS,
+              st.sampled_from(["", " ", "\t"])),
+    st.sampled_from(["1_0", "1_000.5", "١٢", "３.5", "", " ", "oops", "#", "0x10",
+                     "1.0.0", "--1", "e5", " 1.5 "]),
+)
+
+_ROWS = st.one_of(
+    st.lists(_NUMBERS, min_size=2, max_size=2).map(",".join),
+    st.lists(_TOKENS, min_size=2, max_size=2).map(",".join),
+    st.lists(_TOKENS, min_size=0, max_size=4).map(",".join),
+    st.sampled_from(["", " ", "\t", "# comment", "#1.0,2.0", "1.0,2.0 # note", "1.0,2.0,"]),
+)
+
+
+@st.composite
+def patient_csv_texts(draw):
+    if draw(st.integers(0, 19)) == 0:
+        return ""
+    header = draw(st.sampled_from(["F4,Cz", " F4 , Cz ", "F4,Pz", "F4"]))
+    rows = draw(st.lists(_ROWS, max_size=12))
+    if draw(st.booleans()):
+        # Mostly valid files, so the reader's accept path is exercised too.
+        rows = draw(st.lists(st.lists(_NUMBERS, min_size=2, max_size=2).map(",".join),
+                             min_size=1, max_size=40))
+        header = "F4,Cz"
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    trailing = draw(st.sampled_from(["", ending]))
+    return ending.join([header, *rows]) + trailing
+
+
+@pytest.fixture(scope="module")
+def one_patient_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("one-patient")
+    patient = PatientEntry(id="p0", label=Label.ADHD, path="patients/p0.csv")
+    manifest = DatasetManifest("one", 256.0, ("F4", "Cz"), (patient,))
+    recording = EegRecording("p0", Label.ADHD, manifest.channels, np.zeros((1, 2)), 256.0)
+    write_dataset(root, manifest, [recording])
+    return root, patient, manifest.channels
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=patient_csv_texts())
+def test_load_dataset_matches_row_parser_oracle(one_patient_dataset, text):
+    root, patient, channels = one_patient_dataset
+    csv_path = root / patient.path
+    csv_path.write_text(text)
+    try:
+        expected = oracle_parse_patient_csv(csv_path, patient, channels)
+    except DataValidationError as exc:
+        with pytest.raises(DataValidationError) as info:
+            load_dataset(root)
+        assert str(info.value) == str(exc)
+        return
+    _, (recording,) = load_dataset(root)
+    assert recording.samples.dtype == np.float64
+    assert recording.samples.shape == expected.shape
+    assert recording.samples.tobytes() == expected.tobytes()
+
+
 # -------------------------------------------------------------- synthetic
 
 
@@ -258,6 +404,12 @@ def test_generate_synthetic_validates_counts():
         generate_synthetic(SyntheticSpec(noise_std_uv=-1.0))
     with pytest.raises(ValueError):
         generate_synthetic(SyntheticSpec(channels=("F4", "F4")))
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_generate_synthetic_rejects_non_finite_rate(rate):
+    with pytest.raises(ValueError, match="sample rate must be positive and finite"):
+        generate_synthetic(SyntheticSpec(sample_rate_hz=rate))
 
 
 def test_generate_synthetic_noise_free_is_pure_tone():

@@ -303,6 +303,14 @@ def test_rejects_header_save_model_would_not_write(trained, tmp_path, edit):
         load_model(path)
 
 
+@pytest.mark.parametrize("gate", [float("nan"), float("inf")])
+def test_rejects_non_finite_gate_threshold(trained, tmp_path, gate):
+    path = _saved(trained[0], tmp_path)
+    _set_header(path, _set_param("gate_threshold", gate))
+    with pytest.raises(ModelFormatError, match="gate threshold must be finite"):
+        load_model(path)
+
+
 @pytest.fixture(scope="module")
 def snapshot(trained, tmp_path_factory):
     """The fixture model's snapshot bytes and a directory to write variants in."""

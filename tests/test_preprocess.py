@@ -265,3 +265,9 @@ def test_recording_validation():
         EegRecording("p", Label.ADHD, ("F4", "Cz"), np.zeros((4, 1)), 256.0)
     with pytest.raises(ValueError):
         EegRecording("p", Label.ADHD, ("F4",), np.zeros((4, 1)), 0.0)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_recording_rejects_non_finite_rate(rate):
+    with pytest.raises(ValueError, match="sample rate must be positive and finite"):
+        EegRecording("p", Label.ADHD, ("F4",), np.zeros((4, 1)), rate)
