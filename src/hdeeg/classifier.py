@@ -494,10 +494,17 @@ def incremental_sweep(
         ]
         am = AssociativeMemory(params_r.dimension, params_r.gate_threshold)
         accuracies = []
+        scored_counts = None
         for q in q_train:
             for vector in encode_windows(q, im, cim, params_r.ngram_size):
                 am.update(vector, q.label)
-            accuracies.append(_sweep_accuracy(am, q_test, test_encodings))
+            # Every admitted window bumps its class count, so unchanged
+            # counts mean unchanged prototypes and the same accuracy.
+            counts = (am.bundle_count(Label.ADHD), am.bundle_count(Label.CONTROL))
+            if counts != scored_counts:
+                accuracy = _sweep_accuracy(am, q_test, test_encodings)
+                scored_counts = counts
+            accuracies.append(accuracy)
         return SweepRun(
             run_seed=run_seed,
             test_ids=tuple(test_ids),

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
+_JSON_TYPES = {str: "string", list: "list"}
 
 
 class DataValidationError(ValueError):
@@ -69,6 +70,13 @@ class DatasetManifest:
         if not self.patients:
             raise DataValidationError("manifest lists no patients")
         ids = [p.id for p in self.patients]
+        for pid in ids:
+            # Commands name output files after patient ids.
+            if not isinstance(pid, str) or pid in ("", ".", "..") or any(c in pid for c in "/\\\0"):
+                raise DataValidationError(
+                    f"patient id {pid!r} is not a plain file name: it must be nonempty, "
+                    "not '.' or '..', and hold no '/', '\\' or NUL"
+                )
         if len(set(ids)) != len(ids):
             raise DataValidationError("duplicate patient ids in manifest")
         if not 0 < self.sample_rate_hz < math.inf:
@@ -83,6 +91,13 @@ class DatasetManifest:
         return [p.id for p in self.patients if p.label == label]
 
 
+def _json_field(value, kind: type, what: str):
+    """``value`` if it has the JSON type ``kind`` stands for, else ValueError."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def load_manifest(path) -> DatasetManifest:
     """Parse and validate a manifest; ``path`` is the file or its directory."""
     path = Path(path)
@@ -94,13 +109,24 @@ def load_manifest(path) -> DatasetManifest:
         raise DataValidationError(f"{path}: not valid JSON ({exc})") from exc
     try:
         patients = tuple(
-            PatientEntry(id=str(p["id"]), label=Label(p["label"]), path=str(p["path"]))
-            for p in raw["patients"]
+            PatientEntry(
+                id=_json_field(p["id"], str, "patient id"),
+                label=Label(_json_field(p["label"], str, "patient label")),
+                path=_json_field(p["path"], str, "patient path"),
+            )
+            for p in _json_field(raw["patients"], list, "patients")
         )
+        rate = raw["sample_rate_hz"]
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+            raise ValueError(
+                "sample_rate_hz must be a JSON number: "
+                f"sample rate must be positive and finite, got {rate!r}"
+            )
+        channels = _json_field(raw["channels"], list, "channels")
         return DatasetManifest(
             name=str(raw.get("name", path.parent.name)),
-            sample_rate_hz=float(raw["sample_rate_hz"]),
-            channels=tuple(str(c) for c in raw["channels"]),
+            sample_rate_hz=float(rate),
+            channels=tuple(_json_field(c, str, "channel") for c in channels),
             patients=patients,
         )
     except (KeyError, TypeError) as exc:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hdeeg import (
+    AssociativeMemory,
     DatasetManifest,
     DataValidationError,
     EegRecording,
@@ -481,6 +482,81 @@ def test_sweep_final_point_matches_batch_training(sweep_result, prepared, small_
     stats, quantized = quantize_all([*train_raw, *test_raw], params_r, stats_pool=train_raw)
     model = train(quantized[: len(train_raw)], params_r, stats)
     assert evaluate(model, quantized[len(train_raw):]).accuracy_pct == run.accuracies[-1]
+
+
+def prefix_points(raw, run, params_r):
+    """(accuracy, bundle counts) after training on each prefix of a sweep run.
+
+    Statistics come from the run's whole training order, as the sweep
+    computes them.  While the prefix holds one class the accuracy follows
+    the single-class rule and the counts are None.
+    """
+    train_raw = pick(raw, *run.train_order)
+    test_raw = pick(raw, *run.test_ids)
+    stats, quantized = quantize_all([*train_raw, *test_raw], params_r, stats_pool=train_raw)
+    q_test = quantized[len(train_raw):]
+    points = []
+    for k in range(1, len(train_raw) + 1):
+        labels = {q.label for q in quantized[:k]}
+        if len(labels) == 1:
+            (only,) = labels
+            acc = 100.0 * sum(q.label is only for q in q_test) / len(q_test)
+            points.append((acc, None))
+            continue
+        model = train(quantized[:k], params_r, stats)
+        counts = tuple(model.memory.bundle_count(label) for label in (Label.ADHD, Label.CONTROL))
+        points.append((evaluate(model, q_test).accuracy_pct, counts))
+    return points
+
+
+SWEEP_GATES = [None, -1.0, 2.0]  # the params' own, admit none after the first, admit all
+
+
+@pytest.mark.parametrize("gate", SWEEP_GATES)
+def test_sweep_every_point_matches_training_on_the_prefix(small_dataset, small_params, gate):
+    manifest, recordings = small_dataset
+    params = small_params if gate is None else replace(small_params, gate_threshold=gate)
+    result = incremental_sweep(
+        manifest, recordings, test_size=2, max_train=6, runs=3, seed=5, params=params
+    )
+    raw = {r.patient_id: r for r in recordings}
+    for run in result.runs:
+        points = prefix_points(raw, run, replace(params, seed=run.run_seed))
+        assert run.accuracies == tuple(acc for acc, _ in points)
+
+
+@pytest.mark.parametrize("gate", SWEEP_GATES)
+def test_sweep_scores_only_after_the_memory_changed(
+    small_dataset, small_params, gate, monkeypatch
+):
+    manifest, recordings = small_dataset
+    params = small_params if gate is None else replace(small_params, gate_threshold=gate)
+    raw = {r.patient_id: r for r in recordings}
+    queries = 0
+    real_query = AssociativeMemory.query
+
+    def counting_query(self, vector):
+        nonlocal queries
+        queries += 1
+        return real_query(self, vector)
+
+    monkeypatch.setattr(AssociativeMemory, "query", counting_query)
+    result = incremental_sweep(
+        manifest, recordings, test_size=2, max_train=6, runs=3, seed=5, params=params
+    )
+    monkeypatch.undo()
+    windows_per_patient = 192 // params.ngram_size
+    expected = 0
+    for run in result.runs:
+        counts = [c for _, c in prefix_points(raw, run, replace(params, seed=run.run_seed))]
+        scored = sum(
+            1 for prev, cur in zip([None, *counts], counts) if cur is not None and cur != prev
+        )
+        expected += len(run.test_ids) * windows_per_patient * scored
+    assert queries == expected
+    if gate == -1.0:
+        # Only the step that completes the second class changes the memory.
+        assert expected == 3 * 2 * windows_per_patient
 
 
 def test_sweep_test_sets_follow_split_policy(sweep_result, small_dataset):

@@ -102,6 +102,20 @@ def test_preprocess_emits_signals_levels_stats(dataset_dir, tmp_path):
     assert all(0 <= v <= 49 for v in values)
 
 
+def test_preprocess_rejects_traversing_patient_id(dataset_dir, tmp_path):
+    root = tmp_path / "ds"
+    shutil.copytree(dataset_dir, root)
+    manifest = root / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["patients"][0]["id"] = "../../escaped"
+    manifest.write_text(json.dumps(doc))
+    work = tmp_path / "trav"
+    code = main(["preprocess", "--manifest", str(root), "--out", str(work / "out"), *SMALL])
+    assert code == EXIT_DATA
+    assert not work.exists()
+    assert not (tmp_path / "escaped.csv").exists()
+
+
 # ------------------------------------------------------------ train / eval
 
 

@@ -119,6 +119,67 @@ def test_load_manifest_unknown_label(tmp_path):
         load_manifest(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "pid", ["", ".", "..", "../../escaped", "a/b", "/abs", "a\\b", "..\\up", "a\0b"]
+)
+def test_manifest_rejects_ids_that_are_not_file_names(pid):
+    with pytest.raises(DataValidationError, match="not a plain file name"):
+        DatasetManifest("x", 256.0, ("F4",), (PatientEntry(pid, Label.ADHD, "a.csv"),))
+
+
+def test_manifest_accepts_dotted_ids():
+    for pid in ("...", ".hidden", "a..b", "adhd-001.v2"):
+        DatasetManifest("x", 256.0, ("F4",), (PatientEntry(pid, Label.ADHD, "a.csv"),))
+
+
+def valid_manifest_doc():
+    return {
+        "sample_rate_hz": 256.0,
+        "channels": ["F4", "Cz"],
+        "patients": [{"id": "a", "label": "ADHD", "path": "a.csv"}],
+    }
+
+
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        ("channels", "F4", "channels"),
+        ("channels", [1, 2], "channel"),
+        ("channels", ["F4", None], "channel"),
+        ("patients", {"a": {}}, "patients"),
+        ("id", None, "patient id"),
+        ("id", 7, "patient id"),
+        ("label", ["ADHD"], "patient label"),
+        ("path", 3, "patient path"),
+        ("sample_rate_hz", True, "sample_rate_hz"),
+        ("sample_rate_hz", "256", "sample_rate_hz"),
+        ("sample_rate_hz", [256], "sample_rate_hz"),
+    ],
+)
+def test_load_manifest_rejects_wrong_json_types(tmp_path, key, value, field):
+    doc = valid_manifest_doc()
+    target = doc["patients"][0] if key in ("id", "label", "path") else doc
+    target[key] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(DataValidationError, match=f": {field} must be a JSON "):
+        load_manifest(tmp_path)
+
+
+def test_load_manifest_accepts_integer_rate(tmp_path):
+    doc = valid_manifest_doc()
+    doc["sample_rate_hz"] = 256
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    assert load_manifest(tmp_path).sample_rate_hz == 256.0
+
+
+def test_load_manifest_rejects_traversing_id(tmp_path):
+    doc = valid_manifest_doc()
+    doc["patients"][0]["id"] = "../../escaped"
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(DataValidationError, match="not a plain file name"):
+        load_manifest(tmp_path)
+
+
 def test_load_manifest_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_manifest(tmp_path / "nowhere")
