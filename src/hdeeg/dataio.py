@@ -8,8 +8,10 @@ patients, plus one CSV per patient::
 
 The manifest holds ``name``, ``sample_rate_hz``, ``channels`` (ordered)
 and ``patients`` (objects with ``id``, ``label``, ``path`` relative to the
-root).  Patient CSVs start with a header row of the channel names in
-manifest order followed by one row of decimal microvolt values per sample.
+root; a path that is empty, absolute or has a ``..`` part is rejected, so
+reads and writes stay inside the root).  Patient CSVs start with a header
+row of the channel names in manifest order followed by one row of decimal
+microvolt values per sample.
 A value is any text Python's float() accepts; blank lines are rejected.
 Floats are written with repr, so write-then-load round-trips exactly.
 """
@@ -17,7 +19,7 @@ Floats are written with repr, so write-then-load round-trips exactly.
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PureWindowsPath
 
 import numpy as np
 
@@ -79,6 +81,15 @@ class DatasetManifest:
                 )
         if len(set(ids)) != len(ids):
             raise DataValidationError("duplicate patient ids in manifest")
+        for p in self.patients:
+            # Reading and writing join the path to the dataset root.  Windows
+            # rules split on both '/' and '\\' and see roots and drives.
+            path = PureWindowsPath(p.path) if isinstance(p.path, str) and p.path else None
+            if path is None or path.anchor or ".." in path.parts:
+                raise DataValidationError(
+                    f"patient {p.id} path {p.path!r} leaves the dataset root: it must be "
+                    "nonempty, relative, and hold no '..' part"
+                )
         if not 0 < self.sample_rate_hz < math.inf:
             raise DataValidationError(
                 f"sample rate must be positive and finite, got {self.sample_rate_hz}"
@@ -124,7 +135,7 @@ def load_manifest(path) -> DatasetManifest:
             )
         channels = _json_field(raw["channels"], list, "channels")
         return DatasetManifest(
-            name=str(raw.get("name", path.parent.name)),
+            name=_json_field(raw["name"], str, "name") if "name" in raw else path.parent.name,
             sample_rate_hz=float(rate),
             channels=tuple(_json_field(c, str, "channel") for c in channels),
             patients=patients,

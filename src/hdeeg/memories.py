@@ -36,9 +36,20 @@ class QueryResult(NamedTuple):
     similarity_control: float
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def _bipolar_copy(vectors: np.ndarray, what: str) -> np.ndarray:
+    """Read-only int8 copy of ``vectors``; ValueError unless every component is +1 or -1.
+
+    Checked row by row, so no temporary of the whole matrix is made.  The
+    encoder's XOR kernel is exact only on bipolar components.
+    """
+    for i, row in enumerate(vectors):
+        if not hv.is_bipolar(row):
+            raise ValueError(
+                f"{what} is not bipolar: row {i} holds a component other than +1 or -1"
+            )
+    copy = vectors.astype(hv.BIPOLAR_DTYPE, copy=True)
+    copy.flags.writeable = False
+    return copy
 
 
 class ItemMemory:
@@ -54,7 +65,7 @@ class ItemMemory:
         if not names or any(not n for n in names):
             raise ValueError("channel names must be nonempty")
         self._names = names
-        self._vectors = _freeze(vectors.astype(hv.BIPOLAR_DTYPE, copy=True))
+        self._vectors = _bipolar_copy(vectors, "item_memory")
 
     @classmethod
     def build(cls, channel_names, seed: int, dimension: int) -> "ItemMemory":
@@ -111,7 +122,9 @@ class ContinuousItemMemory:
         vectors = np.asarray(vectors)
         if vectors.ndim != 2 or vectors.shape[0] < 2:
             raise ValueError("need a (levels, dimension) matrix with at least 2 levels")
-        self._vectors = _freeze(vectors.astype(hv.BIPOLAR_DTYPE, copy=True))
+        self._vectors = _bipolar_copy(vectors, "level_memory")
+        # Packed level tables of encoder._level_table, keyed by ngram size.
+        self._packed_tables: dict = {}
 
     @classmethod
     def build(cls, level_count: int, seed: int, dimension: int) -> "ContinuousItemMemory":

@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import hv
 from .classifier import PipelineParams, TrainedModel
 from .memories import AssociativeMemory, ContinuousItemMemory, ItemMemory
 from .preprocess import ChannelStats
@@ -131,19 +130,17 @@ def load_model(path) -> TrainedModel:
     if offset != len(payload):
         raise ModelFormatError(f"{path}: {len(payload) - offset} trailing bytes")
     item, level, proto_adhd, proto_control = arrays
-    for name, matrix in (("item_memory", item), ("level_memory", level)):
-        # Row by row, so the check holds no temporaries of a whole matrix.
-        if not all(hv.is_bipolar(row) for row in matrix):
-            raise ModelFormatError(f"{path}: {name} is not bipolar")
     try:
-        am = AssociativeMemory.from_state(proto_adhd, proto_control, counts, params.gate_threshold)
+        # The memories reject components other than +1 and -1.
         im = ItemMemory(channels, item)
+        cim = ContinuousItemMemory(level)
+        am = AssociativeMemory.from_state(proto_adhd, proto_control, counts, params.gate_threshold)
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
     model = TrainedModel(
         params=params,
         item_memory=im,
-        level_memory=ContinuousItemMemory(level),
+        level_memory=cim,
         memory=am,
         channel_stats=stats,
         train_ids=train_ids,

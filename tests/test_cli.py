@@ -116,6 +116,22 @@ def test_preprocess_rejects_traversing_patient_id(dataset_dir, tmp_path):
     assert not (tmp_path / "escaped.csv").exists()
 
 
+def test_train_rejects_patient_path_outside_the_dataset(dataset_dir, tmp_path, capsys):
+    # A readable CSV beside the dataset: the manifest must not reach it.
+    root = tmp_path / "ds"
+    shutil.copytree(dataset_dir, root)
+    manifest = root / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    shutil.copy(root / doc["patients"][0]["path"], tmp_path / "outside.csv")
+    doc["patients"][0]["path"] = "../outside.csv"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "m.bin"
+    code = main(["train", "--manifest", str(root), "--out", str(out), *COUNTS, *SMALL])
+    assert code == EXIT_DATA
+    assert "leaves the dataset root" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ train / eval
 
 

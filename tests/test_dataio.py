@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,6 +179,72 @@ def test_load_manifest_rejects_traversing_id(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(DataValidationError, match="not a plain file name"):
         load_manifest(tmp_path)
+
+
+BAD_PATHS = ["", "../outside.csv", "patients/../../outside.csv", "/abs/a.csv", "..\\up.csv",
+             "C:\\data\\a.csv", "\\\\server\\share\\a.csv", ".."]
+
+
+@pytest.mark.parametrize("path", BAD_PATHS)
+def test_manifest_rejects_paths_outside_the_root(path):
+    with pytest.raises(DataValidationError, match="leaves the dataset root"):
+        DatasetManifest("x", 256.0, ("F4",), (PatientEntry("a", Label.ADHD, path),))
+
+
+def test_manifest_accepts_nested_and_dotted_paths():
+    for path in ("a.csv", "patients/a.csv", "./a.csv", "p/./q/a..csv", "...csv"):
+        DatasetManifest("x", 256.0, ("F4",), (PatientEntry("a", Label.ADHD, path),))
+
+
+@pytest.mark.parametrize("path", BAD_PATHS)
+def test_load_manifest_rejects_paths_outside_the_root(tmp_path, path):
+    doc = valid_manifest_doc()
+    doc["patients"][0]["path"] = path
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(DataValidationError, match="leaves the dataset root"):
+        load_manifest(tmp_path)
+
+
+def test_load_dataset_reads_nothing_outside_the_root(tmp_path):
+    m = tiny_manifest()
+    write_dataset(tmp_path / "ds", m, tiny_recordings(m))
+    # A valid CSV beside the dataset, named by the manifest through "..".
+    (tmp_path / "outside.csv").write_bytes((tmp_path / "ds" / m.patients[0].path).read_bytes())
+    doc = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+    doc["patients"][0]["path"] = "../outside.csv"
+    (tmp_path / "ds" / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(DataValidationError, match="leaves the dataset root"):
+        load_dataset(tmp_path / "ds")
+
+
+def test_write_dataset_writes_nothing_outside_the_root(tmp_path):
+    # write_dataset takes a DatasetManifest, and none can name such a path;
+    # replace() re-runs the checks as well.
+    m = tiny_manifest()
+    escaping = PatientEntry("a0", Label.ADHD, "../outside.csv")
+    with pytest.raises(DataValidationError, match="leaves the dataset root"):
+        write_dataset(tmp_path / "ds", replace(m, patients=(escaping, *m.patients[1:])),
+                      tiny_recordings(m))
+    assert not (tmp_path / "ds").exists()
+    assert not (tmp_path / "outside.csv").exists()
+
+
+@pytest.mark.parametrize("name", [None, 7, ["tiny"], {"n": 1}])
+def test_load_manifest_requires_a_string_name(tmp_path, name):
+    doc = valid_manifest_doc()
+    doc["name"] = name
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(DataValidationError, match=": name must be a JSON string"):
+        load_manifest(tmp_path)
+
+
+def test_load_manifest_name_defaults_to_directory(tmp_path):
+    doc = valid_manifest_doc()
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    assert load_manifest(tmp_path).name == tmp_path.name
+    doc["name"] = "given"
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    assert load_manifest(tmp_path).name == "given"
 
 
 def test_load_manifest_missing_file(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hdeeg import (
     ContinuousItemMemory,
@@ -14,6 +16,7 @@ from hdeeg import (
     hamming_distance,
     permute,
 )
+from hdeeg.encoder import _level_table
 
 # ----------------------------------------------------------------- oracle
 # Pure-Python re-derivation: sample t of n (1-based) contributes its level
@@ -283,3 +286,107 @@ def test_encoder_oracle_equivalence_small():
         got = encode_windows(make_quantized(np.stack(level_rows, axis=1)), im, cim, 3)
         expected = oracle_window([r.tolist() for r in level_rows], chans, cim_rows)
         assert got.tolist() == [expected]
+
+
+# ------------------------------------------------------- packed-bit kernel
+# encode_windows XORs packed sign bits.  These cases reach every width and
+# offset it handles: D not a multiple of 8 or 64 (padding bits), n below,
+# at and across byte boundaries and beyond D (rotations that wrap more than
+# once), several channels, and every level dtype the indexing sees.
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    dim=st.sampled_from([2, 10, 66, 1002]),
+    ngram=st.sampled_from([1, 7, 8, 9, 33, 65]),
+    level_count=st.integers(min_value=2, max_value=6),
+    channels=st.integers(min_value=1, max_value=3),
+    windows=st.integers(min_value=1, max_value=3),
+    dtype=st.sampled_from([np.uint8, np.int16, np.int64]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(dim=2, ngram=65, level_count=3, channels=2, windows=2, dtype=np.uint8, seed=0)
+@example(dim=10, ngram=33, level_count=6, channels=3, windows=1, dtype=np.int16, seed=1)
+@example(dim=1002, ngram=8, level_count=2, channels=1, windows=3, dtype=np.int64, seed=2)
+def test_packed_kernel_matches_scalar_oracle(
+    dim, ngram, level_count, channels, windows, dtype, seed
+):
+    names = [f"ch{i}" for i in range(channels)]
+    im = ItemMemory.build(names, seed=seed, dimension=dim)
+    cim = ContinuousItemMemory.build(level_count, seed=seed + 1, dimension=dim)
+    data = np.random.default_rng(seed).integers(0, level_count, size=(windows * ngram, channels))
+    # Built directly: make_quantized would cast the levels to int32.
+    rec = QuantizedRecording(
+        patient_id="p1",
+        label=Label.ADHD,
+        channels=tuple(names),
+        levels=data.astype(dtype),
+        level_count=level_count,
+    )
+    got = encode_windows(rec, im, cim, ngram)
+    assert got.dtype == np.int64 and got.shape == (windows, dim)
+    chans = [im.vector(n).tolist() for n in names]
+    cim_rows = cim.vectors.tolist()
+    for w in range(windows):
+        rows = data[w * ngram : (w + 1) * ngram].T.tolist()
+        assert got[w].tolist() == oracle_window(rows, chans, cim_rows)
+
+
+def test_packed_kernel_many_channels():
+    # 130 channels sharing one item vector: in the window where they also
+    # share their levels, every component sums to +-130, past int8.
+    names = [f"ch{i}" for i in range(130)]
+    shared = ItemMemory.build(["ch0"], seed=4, dimension=66).vectors
+    im = ItemMemory(names, np.repeat(shared, 130, axis=0))
+    cim = ContinuousItemMemory.build(3, seed=5, dimension=66)
+    data = np.random.default_rng(6).integers(0, 3, size=(2 * 9, 130))
+    data[9:] = data[9:, :1]
+    got = encode_windows(make_quantized(data, channels=names, level_count=3), im, cim, 9)
+    chans = [im.vector(n).tolist() for n in names]
+    for w in range(2):
+        rows = data[w * 9 : (w + 1) * 9].T.tolist()
+        assert got[w].tolist() == oracle_window(rows, chans, cim.vectors.tolist())
+    assert set(np.abs(got[1]).tolist()) == {130}
+
+
+def test_packed_kernel_empty_recording():
+    im, cim = small_memories()
+    out = encode_windows(make_quantized(np.zeros((0, 2), dtype=int)), im, cim, 3)
+    assert out.shape == (0, 16) and out.dtype == np.int64
+
+
+def test_packed_kernel_rejects_mismatched_dimensions():
+    im = ItemMemory.build(["F4", "Cz"], seed=0, dimension=32)
+    _, cim = small_memories(dim=16)
+    with pytest.raises(ValueError, match="dimension 32 != level memory dimension 16"):
+        encode_windows(make_quantized(np.zeros((3, 2), dtype=int)), im, cim, 3)
+
+
+def test_level_table_built_once_per_memory_and_ngram_size():
+    im, cim = small_memories()
+    rec = make_quantized(np.zeros((6, 2), dtype=int))
+    encode_windows(rec, im, cim, 3)
+    table = _level_table(cim, 3)
+    encode_windows(rec, im, cim, 3)
+    assert _level_table(cim, 3) is table
+    assert _level_table(cim, 2) is not table
+    twin = ContinuousItemMemory(cim.vectors)
+    assert _level_table(twin, 3) is not table
+    assert np.array_equal(_level_table(twin, 3), table)
+
+
+def test_level_table_is_read_only():
+    _, cim = small_memories()
+    table = _level_table(cim, 3)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1
+
+
+def test_level_table_size_at_paper_defaults():
+    # 8 shifted copies x 250 levels x (31 // 8 + 157 words of 8 bytes).
+    cim = ContinuousItemMemory.build(250, seed=0, dimension=10000)
+    table = _level_table(cim, 32)
+    assert table.shape == (8, 250, 3 + 1256)
+    assert table.dtype == np.uint8
+    assert table.nbytes == 2_518_000

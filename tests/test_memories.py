@@ -63,6 +63,27 @@ def test_item_memory_immutable():
         im.vectors[0, 0] = 5
 
 
+@pytest.mark.parametrize("bad", [0, 2, -3, 257])
+def test_memories_reject_non_bipolar_components(bad):
+    # The encoder XORs sign bits, which is exact only on +1/-1 components.
+    # 257 would wrap to 1 in an int8 copy, so the check reads the input.
+    vectors = np.ones((3, 16), dtype=np.int64)
+    vectors[2, 5] = bad
+    with pytest.raises(ValueError, match="item_memory is not bipolar: row 2"):
+        ItemMemory(["F4", "Cz", "Pz"], vectors)
+    with pytest.raises(ValueError, match="level_memory is not bipolar: row 2"):
+        ContinuousItemMemory(vectors)
+
+
+def test_memories_accept_bipolar_rows_of_any_integer_dtype():
+    vectors = np.array([[1, -1, 1, -1], [-1, -1, 1, 1]])
+    for dtype in (np.int8, np.int16, np.int64):
+        assert ItemMemory(["F4", "Cz"], vectors.astype(dtype)).vectors.dtype == np.int8
+        assert np.array_equal(ContinuousItemMemory(vectors.astype(dtype)).vectors, vectors)
+    with pytest.raises(ValueError, match="not bipolar"):
+        ContinuousItemMemory(vectors.astype(np.float64))
+
+
 # ---------------------------------------------------- ContinuousItemMemory
 
 
