@@ -20,7 +20,6 @@ from .memories import (
     AssociativeMemory,
     ContinuousItemMemory,
     ItemMemory,
-    QueryResult,
     UntrainedMemoryError,
 )
 from .preprocess import (

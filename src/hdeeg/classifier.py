@@ -3,7 +3,7 @@
 A model is trained by gated accumulation: every encoded window of every
 training patient is offered to the associative memory in deterministic
 order (patients as given, windows in temporal order).  A patient is
-classified by querying all of its windows and taking the majority label;
+classified by the majority label of its windows' (W, 2) similarities;
 a patient counts as correctly classified only when strictly more than
 half of its windows got the true label.
 """
@@ -145,14 +145,14 @@ class TrainedModel:
 
 @dataclass(frozen=True)
 class PatientPrediction:
-    """Window votes and the derived patient-level outcome."""
+    """Window votes, the read-only (W, 2) similarities behind them, and the patient outcome."""
 
     patient_id: str
     true_label: Label
     predicted_label: Label
     correct_windows: int
     total_windows: int
-    window_results: tuple = field(repr=False, default=())
+    similarities: np.ndarray | None = field(repr=False, compare=False, default=None)
 
     @property
     def correct(self) -> bool:
@@ -266,28 +266,29 @@ def train(
 
 
 def classify_patient(model: TrainedModel, rec: QuantizedRecording) -> PatientPrediction:
-    """Query every window of a recording and take the majority label.
+    """Score every window of a recording and take the majority label.
 
     Ties on the majority go to CONTROL; correctness is the stricter
     more-than-half rule against the true label.
     """
     vectors = encode_windows(rec, model.item_memory, model.level_memory, model.params.ngram_size)
-    results = tuple(model.memory.query(v) for v in vectors)
-    return _prediction_from_results(rec.patient_id, rec.label, results)
+    return _prediction(rec.patient_id, rec.label, model.memory.similarities(vectors))
 
 
-def _prediction_from_results(patient_id, true_label, results) -> PatientPrediction:
-    total = len(results)
-    adhd_votes = sum(1 for r in results if r.label is Label.ADHD)
+def _prediction(patient_id, true_label, sims: np.ndarray) -> PatientPrediction:
+    """Patient vote: a window votes ADHD only if sims[w, 0] > sims[w, 1], so a tie votes CONTROL."""
+    total = len(sims)
+    adhd_votes = int(np.count_nonzero(sims[:, 0] > sims[:, 1]))
     predicted = Label.ADHD if adhd_votes > total - adhd_votes else Label.CONTROL
-    correct = sum(1 for r in results if r.label is true_label)
+    sims = sims.view()
+    sims.flags.writeable = False
     return PatientPrediction(
         patient_id=patient_id,
         true_label=true_label,
         predicted_label=predicted,
-        correct_windows=correct,
+        correct_windows=adhd_votes if true_label is Label.ADHD else total - adhd_votes,
         total_windows=total,
-        window_results=tuple(results),
+        similarities=sims,
     )
 
 
@@ -420,7 +421,7 @@ def _sweep_accuracy(am: AssociativeMemory, q_test, test_encodings) -> float:
     if len(trained) == 1:
         return 100.0 * sum(1 for q in q_test if q.label is trained[0]) / len(q_test)
     return summarize(
-        _prediction_from_results(q.patient_id, q.label, [am.query(v) for v in vectors])
+        _prediction(q.patient_id, q.label, am.similarities(vectors))
         for q, vectors in zip(q_test, test_encodings)
     ).accuracy_pct
 

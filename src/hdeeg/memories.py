@@ -3,12 +3,10 @@
 ItemMemory maps channel names to fixed random bipolar vectors.
 ContinuousItemMemory maps quantization levels to bipolar vectors whose
 pairwise distance grows with level distance (a cumulative flip schedule).
-AssociativeMemory keeps one integer prototype accumulator per class and
-answers nearest-class queries by cosine similarity.
+AssociativeMemory keeps one integer prototype accumulator per class;
+``similarities`` scores a (W, D) window matrix against both as one (W, 2)
+cosine array (ADHD, CONTROL), and the training gate shares its kernel.
 """
-
-import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -17,7 +15,6 @@ from .common import Label, make_rng
 
 __all__ = [
     "UntrainedMemoryError",
-    "QueryResult",
     "ItemMemory",
     "ContinuousItemMemory",
     "AssociativeMemory",
@@ -25,15 +22,11 @@ __all__ = [
 
 
 class UntrainedMemoryError(RuntimeError):
-    """A query hit an associative memory with an empty class prototype."""
+    """Similarities were asked of an associative memory with an empty class prototype."""
 
 
-class QueryResult(NamedTuple):
-    """Outcome of a nearest-class query."""
-
-    label: Label
-    similarity_adhd: float
-    similarity_control: float
+# Row order of the prototype accumulators and column order of similarities().
+_LABELS = (Label.ADHD, Label.CONTROL)
 
 
 def _bipolar_copy(vectors: np.ndarray, what: str) -> np.ndarray:
@@ -176,12 +169,13 @@ class AssociativeMemory:
             raise ValueError(f"dimension must be at least 1, got {dimension}")
         self._dimension = int(dimension)
         self.gate_threshold = float(gate_threshold)
-        self._prototypes = {
-            Label.ADHD: np.zeros(self._dimension, dtype=hv.ACCUMULATOR_DTYPE),
-            Label.CONTROL: np.zeros(self._dimension, dtype=hv.ACCUMULATOR_DTYPE),
-        }
+        # One accumulator row per class, in _LABELS order.
+        self._prototypes = np.zeros((len(_LABELS), self._dimension), dtype=hv.ACCUMULATOR_DTYPE)
         self._counts = {Label.ADHD: 0, Label.CONTROL: 0}
-        self._norms: dict = {}
+        # Float copy of the prototypes and their norms, keyed by the bundle
+        # counts it was made at: every admission bumps a count, so equal
+        # counts mean equal prototypes.  The per-window gate reuses it.
+        self._float_key, self._float = None, None
 
     @classmethod
     def from_state(cls, prototype_adhd, prototype_control, counts, gate_threshold):
@@ -191,9 +185,8 @@ class AssociativeMemory:
         if pa.ndim != 1 or pa.shape != pc.shape:
             raise ValueError("prototypes must be equal-length 1-D vectors")
         am = cls(pa.shape[0], gate_threshold)
-        am._prototypes[Label.ADHD][:] = pa
-        am._prototypes[Label.CONTROL][:] = pc
-        for label in (Label.ADHD, Label.CONTROL):
+        am._prototypes[:] = (pa, pc)
+        for label in _LABELS:
             n = int(counts[label])
             if n < 0:
                 raise ValueError(f"negative bundle count for {label}")
@@ -206,7 +199,7 @@ class AssociativeMemory:
 
     def prototype(self, label: Label) -> np.ndarray:
         """Read-only view of a class prototype accumulator."""
-        view = self._prototypes[Label(label)].view()
+        view = self._prototypes[_LABELS.index(Label(label))]
         view.flags.writeable = False
         return view
 
@@ -228,46 +221,47 @@ class AssociativeMemory:
             raise ValueError("prototype updates take integer vectors")
         if not vec.any():
             raise ValueError("cannot accumulate an all-zero vector")
-        if self._counts[label] == 0:
-            accept = True
-        else:
-            qf = vec.astype(np.float64)
-            accept = self._similarity(qf, math.sqrt(qf @ qf), label) < self.gate_threshold
-        if accept:
-            self._prototypes[label] += vec
+        row = _LABELS.index(label)
+        own = slice(row, row + 1)
+        if self._counts[label] == 0 or self._cosines(vec[np.newaxis], own)[0, 0] < self.gate_threshold:
+            self._prototypes[row] += vec
             self._counts[label] += 1
-            self._norms.pop(label, None)
         return self
 
-    def _similarity(self, qf: np.ndarray, qn: float, label: Label) -> float:
-        """(q . p) / (|q| |p|) for float64 ``qf`` of norm ``qn``; p's cast and norm are cached."""
-        cached = self._norms.get(label)
-        if cached is None:
-            pf = self._prototypes[label].astype(np.float64)
-            cached = (pf, math.sqrt(pf @ pf))
-            self._norms[label] = cached
-        pf, pn = cached
-        if pn == 0.0:
-            raise hv.UndefinedSimilarityError("a class prototype cancelled to all zeros")
-        return float((qf @ pf) / (qn * pn))
+    def similarities(self, vectors: np.ndarray) -> np.ndarray:
+        """Cosines of each row of ``vectors`` to both prototypes, as (W, 2) float64.
 
-    def query(self, vector: np.ndarray) -> QueryResult:
-        """Nearest class by cosine similarity; strict ties go to CONTROL.
-
-        Requires both prototypes to be nonempty, else UntrainedMemoryError.
+        Column 0 is the ADHD prototype, column 1 the CONTROL one.  Requires
+        both prototypes to be nonempty, else UntrainedMemoryError; an
+        all-zero row raises UndefinedSimilarityError.
         """
-        for label in (Label.ADHD, Label.CONTROL):
+        for label in _LABELS:
             if self._counts[label] == 0:
                 raise UntrainedMemoryError(
-                    f"prototype for {label} is empty; train on both classes before querying"
+                    f"prototype for {label} is empty; train on both classes before scoring"
                 )
-        qf = np.asarray(vector, dtype=np.float64)
-        if qf.shape != (self._dimension,):
-            raise ValueError(f"expected shape ({self._dimension},), got {qf.shape}")
-        qn = math.sqrt(qf @ qf)
-        if qn == 0.0:
+        vectors = np.asarray(vectors)
+        if vectors.ndim != 2 or vectors.shape[1] != self._dimension:
+            raise ValueError(f"expected shape (W, {self._dimension}), got {vectors.shape}")
+        return self._cosines(vectors, slice(None))
+
+    def _cosines(self, vectors: np.ndarray, rows: slice) -> np.ndarray:
+        """(q . p) / (|q| |p|) for each row q of ``vectors`` and each prototype p in ``rows``.
+
+        Encoded windows and prototypes are integer vectors whose dot
+        products and squared norms stay below 2**53, so float64 sums them
+        exactly in any order and each entry equals hv.cosine_similarity(q, p)
+        bit for bit.
+        """
+        key = tuple(self._counts.values())
+        if key != self._float_key:
+            pf = self._prototypes.astype(np.float64)
+            self._float_key, self._float = key, (pf, np.sqrt(np.einsum("ij,ij->i", pf, pf)))
+        pf, pn = (a[rows] for a in self._float)
+        qf = vectors.astype(np.float64)
+        qn = np.sqrt(np.einsum("ij,ij->i", qf, qf))
+        if not qn.all():
             raise hv.UndefinedSimilarityError("cosine similarity of an all-zero vector is undefined")
-        sim_a = self._similarity(qf, qn, Label.ADHD)
-        sim_c = self._similarity(qf, qn, Label.CONTROL)
-        label = Label.ADHD if sim_a > sim_c else Label.CONTROL
-        return QueryResult(label, sim_a, sim_c)
+        if not pn.all():
+            raise hv.UndefinedSimilarityError("a class prototype cancelled to all zeros")
+        return (qf @ pf.T) / (qn[:, np.newaxis] * pn)

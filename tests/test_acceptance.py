@@ -312,12 +312,12 @@ def test_criterion_8_error_handling(tmp_path):
     with pytest.raises(ValueError, match="both classes"):
         train(adhd_only, params, stats)
 
-    # Querying an associative memory with an empty prototype is rejected.
+    # Scoring against an associative memory with an empty prototype is rejected.
     am = AssociativeMemory(dimension=100)
     probe = hv.random_bipolar(1, 1, 100)[0]
     am.update(probe, Label.ADHD)
     with pytest.raises(UntrainedMemoryError):
-        am.query(probe)
+        am.similarities(probe[np.newaxis, :])
 
     # CLI exit codes: usage, data validation, and I/O failures.
     data = tmp_path / "ds"

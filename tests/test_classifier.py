@@ -14,7 +14,6 @@ from hdeeg import (
     Label,
     PatientPrediction,
     PipelineParams,
-    QueryResult,
     SyntheticSpec,
     compute_channel_stats,
     drop_initial,
@@ -29,7 +28,7 @@ from hdeeg import (
     summarize,
     train,
 )
-from hdeeg.classifier import _prediction_from_results
+from hdeeg.classifier import _prediction
 
 
 def quantize_all(recordings, params, stats_pool=None):
@@ -188,20 +187,35 @@ def test_patient_correct_needs_strict_majority():
     assert not PatientPrediction(**base, correct_windows=0, total_windows=28).correct
 
 
-def res(label):
-    return QueryResult(label=label, similarity_adhd=0.0, similarity_control=0.0)
+# One window's (ADHD, CONTROL) similarities, voting for the named class.
+VOTE = {Label.ADHD: [0.5, 0.25], Label.CONTROL: [0.25, 0.5], "tie": [0.5, 0.5]}
+
+
+def sims(*votes):
+    return np.array([VOTE[v] for v in votes], dtype=np.float64)
 
 
 def test_majority_vote_and_tie_rule():
-    adhd2 = [res(Label.ADHD), res(Label.ADHD), res(Label.CONTROL)]
-    p = _prediction_from_results("x", Label.ADHD, adhd2)
+    adhd2 = sims(Label.ADHD, Label.ADHD, Label.CONTROL)
+    p = _prediction("x", Label.ADHD, adhd2)
     assert p.predicted_label is Label.ADHD
     assert p.correct_windows == 2 and p.total_windows == 3 and p.correct
 
-    even = [res(Label.ADHD), res(Label.CONTROL)]
-    p = _prediction_from_results("x", Label.ADHD, even)
+    even = sims(Label.ADHD, Label.CONTROL)
+    p = _prediction("x", Label.ADHD, even)
     assert p.predicted_label is Label.CONTROL
     assert not p.correct
+
+    # A window with equal similarities is a CONTROL vote.
+    tied = sims(Label.ADHD, "tie", "tie")
+    p = _prediction("x", Label.CONTROL, tied)
+    assert p.predicted_label is Label.CONTROL
+    assert p.correct_windows == 2 and p.total_windows == 3 and p.correct
+    p = _prediction("x", Label.ADHD, sims(Label.ADHD, "tie"))
+    assert p.predicted_label is Label.CONTROL
+    assert p.correct_windows == 1 and not p.correct
+    assert np.array_equal(p.similarities, sims(Label.ADHD, "tie"))
+    assert not p.similarities.flags.writeable
 
 
 def test_classify_patient_window_count(prepared, small_params):
@@ -209,10 +223,11 @@ def test_classify_patient_window_count(prepared, small_params):
     model = train(pick(q, "adhd-001", "control-001"), small_params, stats)
     pred = classify_patient(model, q["adhd-002"])
     assert pred.total_windows == 6
-    assert len(pred.window_results) == 6
+    assert len(pred.similarities) == 6
     assert pred.patient_id == "adhd-002"
-    for r in pred.window_results:
-        assert isinstance(r, QueryResult)
+    assert pred.similarities.shape == (6, 2)
+    assert pred.similarities.dtype == np.float64
+    assert not pred.similarities.flags.writeable
 
 
 def test_classify_patient_binds_channels_by_name(prepared, small_params):
@@ -227,7 +242,7 @@ def test_classify_patient_binds_channels_by_name(prepared, small_params):
     b = classify_patient(model, reversed_rec)
     assert a.predicted_label is b.predicted_label
     assert (a.correct_windows, a.total_windows) == (b.correct_windows, b.total_windows)
-    assert a.window_results == b.window_results
+    assert np.array_equal(a.similarities, b.similarities)
 
 
 def test_classify_patient_rejects_unknown_channel(prepared, small_params):
@@ -533,14 +548,14 @@ def test_sweep_scores_only_after_the_memory_changed(
     params = small_params if gate is None else replace(small_params, gate_threshold=gate)
     raw = {r.patient_id: r for r in recordings}
     queries = 0
-    real_query = AssociativeMemory.query
+    real_similarities = AssociativeMemory.similarities
 
-    def counting_query(self, vector):
+    def counting_similarities(self, vectors):
         nonlocal queries
-        queries += 1
-        return real_query(self, vector)
+        queries += len(vectors)
+        return real_similarities(self, vectors)
 
-    monkeypatch.setattr(AssociativeMemory, "query", counting_query)
+    monkeypatch.setattr(AssociativeMemory, "similarities", counting_similarities)
     result = incremental_sweep(
         manifest, recordings, test_size=2, max_train=6, runs=3, seed=5, params=params
     )

@@ -64,6 +64,7 @@ def test_round_trip_preserves_predictions(trained, tmp_path, small_params):
         original = classify_patient(model, q)
         reloaded = classify_patient(loaded, q)
         assert original == reloaded
+        assert original.similarities.tobytes() == reloaded.similarities.tobytes()
 
 
 def test_saving_twice_is_byte_identical(trained, tmp_path):
