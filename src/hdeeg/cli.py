@@ -122,7 +122,7 @@ def _counts(args):
 
 def _dump_json(path, tree) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(tree, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(tree, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def cmd_gen_synth(args) -> int:
@@ -192,6 +192,11 @@ def cmd_eval(args) -> int:
     manifest, recordings = load_dataset(args.manifest)
     if not model.test_ids:
         raise DataValidationError("model holds no held-out test patients to evaluate")
+    # Encoder and stats look channels up by name, so only the set must match.
+    if set(manifest.channels) != set(model.channels):
+        raise DataValidationError(
+            f"dataset channels {manifest.channels} differ from the model's {model.channels}"
+        )
     by_id = {rec.patient_id: rec for rec in recordings}
     missing = [i for i in model.test_ids if i not in by_id]
     if missing:
@@ -243,7 +248,7 @@ def cmd_sweep(args) -> int:
     lines.extend(f"{row.k},{row.mean_acc!r},{row.std!r}" for row in result.rows)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"swept k=1..{args.max_train} over {args.runs} runs; table written to {out}")
     return EXIT_OK
 

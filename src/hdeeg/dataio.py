@@ -11,7 +11,8 @@ and ``patients`` (objects with ``id``, ``label``, ``path`` relative to the
 root; a path that is empty, absolute or has a ``..`` part is rejected, so
 reads and writes stay inside the root).  Patient CSVs start with a header
 row of the channel names in manifest order followed by one row of decimal
-microvolt values per sample.
+microvolt values per sample; a channel name must be nonempty, hold no ','
+or line break and have no surrounding whitespace.  Every file is UTF-8.
 A value is any text Python's float() accepts; blank lines are rejected.
 Floats are written with repr, so write-then-load round-trips exactly.
 """
@@ -67,6 +68,13 @@ class DatasetManifest:
         object.__setattr__(self, "patients", tuple(self.patients))
         if not self.channels:
             raise DataValidationError("manifest lists no channels")
+        for ch in self.channels:
+            # Each name is a field of the patient CSVs' header row.
+            if not isinstance(ch, str) or ch != ch.strip() or ch.splitlines() != [ch] or "," in ch:
+                raise DataValidationError(
+                    f"channel name {ch!r} cannot be a CSV header field: it must be nonempty, "
+                    "hold no ',' or line break, and have no surrounding whitespace"
+                )
         if len(set(self.channels)) != len(self.channels):
             raise DataValidationError(f"duplicate channels in manifest: {self.channels}")
         if not self.patients:
@@ -115,7 +123,9 @@ def load_manifest(path) -> DatasetManifest:
     if path.is_dir():
         path = path / MANIFEST_NAME
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise DataValidationError(f"{path}: not valid JSON ({exc})") from exc
     try:
@@ -147,7 +157,10 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def _parse_patient_csv(path: Path, patient: PatientEntry, channels) -> np.ndarray:
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{patient.id}: {path} is not UTF-8 text ({exc})") from exc
     if not lines:
         raise DataValidationError(f"{patient.id}: {path} is empty")
     header = tuple(h.strip() for h in lines[0].split(","))
@@ -245,7 +258,9 @@ def write_dataset(root, manifest: DatasetManifest, recordings) -> None:
             {"id": p.id, "label": str(p.label), "path": p.path} for p in manifest.patients
         ],
     }
-    (root / MANIFEST_NAME).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    (root / MANIFEST_NAME).write_text(
+        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     for patient in manifest.patients:
         write_csv(root / patient.path, manifest.channels, by_id[patient.id].samples)
 
@@ -260,7 +275,7 @@ def write_csv(path, channels, values) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(channels)]
     lines.extend(",".join(map(repr, row.tolist())) for row in values)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,13 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import hdeeg
-from hdeeg import classifier, load_dataset, load_model
+from hdeeg import classifier, load_dataset, load_model, write_dataset
 from hdeeg.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 SMALL = ["--dimension", "2000", "--levels", "50", "--drop", "256", "--seed", "9"]
@@ -132,6 +133,51 @@ def test_train_rejects_patient_path_outside_the_dataset(dataset_dir, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["preprocess", "train"])
+@pytest.mark.parametrize("name", ["", " F4", "F4,Cz", "Cz\r\n"])
+def test_channel_name_a_csv_header_cannot_hold_is_data_error(
+    dataset_dir, tmp_path, capsys, command, name
+):
+    root = tmp_path / "ds"
+    shutil.copytree(dataset_dir, root)
+    manifest = root / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["channels"][1] = name
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    extra = COUNTS if command == "train" else []
+    code = main([command, "--manifest", str(root), "--out", str(out), *extra, *SMALL])
+    assert code == EXIT_DATA
+    assert f"channel name {name!r} cannot be a CSV header field" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_not_utf8_is_data_error(dataset_dir, tmp_path, capsys):
+    root = tmp_path / "ds"
+    shutil.copytree(dataset_dir, root)
+    manifest = root / "manifest.json"
+    manifest.write_bytes(manifest.read_bytes().replace(b'"synthetic"', b'"synth\xffetic"'))
+    out = tmp_path / "m.bin"
+    code = main(["train", "--manifest", str(root), "--out", str(out), *COUNTS, *SMALL])
+    assert code == EXIT_DATA
+    assert "manifest.json: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_patient_csv_not_utf8_is_data_error(dataset_dir, tmp_path, capsys):
+    root = tmp_path / "ds"
+    shutil.copytree(dataset_dir, root)
+    patient = json.loads((root / "manifest.json").read_text())["patients"][2]
+    csv = root / patient["path"]
+    csv.write_bytes(csv.read_bytes().replace(b"\n", b"\n\xff", 1))
+    out = tmp_path / "m.bin"
+    code = main(["train", "--manifest", str(root), "--out", str(out), *COUNTS, *SMALL])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{patient['id']}: " in err and "is not UTF-8 text" in err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ train / eval
 
 
@@ -218,6 +264,44 @@ def test_eval_rerun_is_byte_identical(dataset_dir, model_path, tmp_path):
         )
         assert code == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def write_with_channels(dataset_dir, root, channels, column_order):
+    """Copy a dataset under new channel names, its columns taken in ``column_order``."""
+    manifest, recordings = load_dataset(dataset_dir)
+    write_dataset(
+        root,
+        replace(manifest, channels=channels),
+        [replace(r, channels=channels, samples=r.samples[:, column_order]) for r in recordings],
+    )
+    return root
+
+
+def test_eval_on_other_channels_is_data_error(dataset_dir, model_path, tmp_path, capsys):
+    root = write_with_channels(dataset_dir, tmp_path / "ds", ("F4", "Pz"), [0, 1])
+    report = tmp_path / "r.json"
+    code = main(
+        ["eval", "--manifest", str(root), "--model", str(model_path), "--report", str(report)]
+    )
+    assert code == EXIT_DATA
+    assert (
+        "dataset channels ('F4', 'Pz') differ from the model's ('F4', 'Cz')"
+        in capsys.readouterr().err
+    )
+    assert not report.exists()
+
+
+def test_eval_binds_reordered_channels_by_name(dataset_dir, model_path, tmp_path):
+    root = write_with_channels(dataset_dir, tmp_path / "ds", ("Cz", "F4"), [1, 0])
+    reports = []
+    for manifest in (dataset_dir, root):
+        reports.append(tmp_path / f"{len(reports)}.json")
+        code = main(
+            ["eval", "--manifest", str(manifest), "--model", str(model_path),
+             "--report", str(reports[-1])]
+        )
+        assert code == EXIT_OK
+    assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
 def test_eval_without_held_out_patients_is_data_error(dataset_dir, tmp_path):

@@ -1,14 +1,19 @@
 """Dataset round-trips, CSV validation, synthetic fixtures, splits."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hdeeg
 from hdeeg import (
     DatasetManifest,
     DataValidationError,
@@ -64,6 +69,64 @@ def test_manifest_validation():
         DatasetManifest("x", 256.0, ("F4",), dup)
     with pytest.raises(DataValidationError):
         DatasetManifest("x", 0.0, ("F4",), (PatientEntry("a", Label.ADHD, "a.csv"),))
+
+
+BAD_CHANNEL_NAMES = ["", " F4", "F4 ", "F4,Cz", "F4\r", "Cz\n", "F\n4", "F\u20284", "\t"]
+
+
+@pytest.mark.parametrize("name", BAD_CHANNEL_NAMES)
+def test_manifest_rejects_channel_names_a_csv_header_cannot_hold(name):
+    with pytest.raises(DataValidationError, match="cannot be a CSV header field"):
+        tiny_manifest(channels=("Pz", name))
+
+
+@pytest.mark.parametrize("name", BAD_CHANNEL_NAMES)
+def test_load_manifest_rejects_channel_names_a_csv_header_cannot_hold(tmp_path, name):
+    doc = valid_manifest_doc()
+    doc["channels"] = ["Pz", name]
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(DataValidationError, match="cannot be a CSV header field"):
+        load_manifest(tmp_path)
+
+
+def test_channel_names_with_inner_spaces_or_non_ascii_round_trip(tmp_path):
+    m = tiny_manifest(channels=("F 4", "C\u017c"))
+    write_dataset(tmp_path, m, tiny_recordings(m))
+    assert load_dataset(tmp_path)[0].channels == ("F 4", "C\u017c")
+    header = (tmp_path / "patients/a0.csv").read_bytes().split(b"\n")[0]
+    assert header == "F 4,C\u017c".encode("utf-8")
+
+
+def test_text_is_utf8_whatever_the_locale(tmp_path):
+    # Under the C locale with UTF-8 mode and locale coercion off, Python's
+    # default text encoding is ASCII; dataset and preprocess writes and the
+    # reads must still be UTF-8.
+    script = (
+        "import sys\n"
+        "from hdeeg import SyntheticSpec, generate_synthetic, load_dataset, write_dataset\n"
+        "from hdeeg.cli import main\n"
+        "spec = SyntheticSpec(patients_per_class=1, samples=1792, channels=('F4', 'C\\u017c'))\n"
+        "write_dataset(sys.argv[1], *generate_synthetic(spec))\n"
+        "assert load_dataset(sys.argv[1])[0].channels == spec.channels\n"
+        "sys.exit(main(['preprocess', '--manifest', sys.argv[1], '--out', sys.argv[2],\n"
+        "               '--drop', '256', '--levels', '50']))\n"
+    )
+    env = {
+        **os.environ,
+        "LC_ALL": "C",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONUTF8": "0",
+        "PYTHONPATH": str(Path(hdeeg.__file__).resolve().parents[1]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "ds"), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header = "F4,C\u017c\n".encode("utf-8")
+    assert (tmp_path / "ds/patients/adhd-001.csv").read_bytes().startswith(header)
+    assert (tmp_path / "out/levels/adhd-001.csv").read_bytes().startswith(header)
+    assert "C\\u017c" in (tmp_path / "ds/manifest.json").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
