@@ -465,8 +465,6 @@ def incremental_sweep(
         raise DataValidationError(
             f"test size {test_size} plus max train {max_train} exceeds {n_patients} patients"
         )
-    # Held-out window values lie in [-C, C] for C channels.
-    window_dtype = np.int8 if len(manifest.channels) <= 127 else np.int64
 
     def one_run(r: int) -> SweepRun:
         run_seed = derive_seed(seed, f"sweep-run-{r}")
@@ -489,10 +487,7 @@ def incremental_sweep(
             manifest, recordings, train_order, test_ids, params_r, stats_scope
         )
         im, cim = build_memories(params_r, manifest.channels)
-        test_encodings = [
-            encode_windows(q, im, cim, params_r.ngram_size).astype(window_dtype, copy=False)
-            for q in q_test
-        ]
+        test_encodings = [encode_windows(q, im, cim, params_r.ngram_size) for q in q_test]
         am = AssociativeMemory(params_r.dimension, params_r.gate_threshold)
         accuracies = []
         scored_counts = None

@@ -10,7 +10,8 @@ The kernel works on sign bits.  Writing a bipolar component x as the bit
 b = (x < 0), a product of bipolar components is the parity (XOR) of their
 bits, and a sum of C bipolar components is C - 2 * (bits set).  So each
 channel's bound vector is an XOR of packed rows, and only the final sum
-over channels is unpacked.
+over channels is unpacked, into the narrowest signed type holding
+[-C, C]; the associative memory takes those sums as they are.
 
 Rotations become offsets.  With m = n - 1, extend each level vector v to
 the row e[j] = v[(j - m) mod D]; rotating v right by m - s is then the D
@@ -23,7 +24,6 @@ D = 10,000, 250 levels, n = 32), are built once per level memory and n.
 
 import numpy as np
 
-from . import hv
 from .memories import ContinuousItemMemory, ItemMemory
 from .preprocess import QuantizedRecording
 
@@ -62,12 +62,14 @@ def encode_windows(
 ) -> np.ndarray:
     """Encode every window of a recording; row w of the result is window w.
 
-    Returns a (windows, dimension) int64 matrix.  Channels are bound to
-    their item vectors by name, so the column order of ``rec.levels``
-    only has to match ``rec.channels``.  Sample t of n (1-based)
-    contributes its level vector rotated right by n - t: the running
-    product of a channel is rotated one step before each new factor,
-    which gives the older factors one extra rotation per remaining step.
+    Returns a (windows, dimension) matrix of window sums in [-C, C] for C
+    channels, typed np.min_scalar_type(-C - 1): int8 up to 127 channels,
+    int16 beyond.  Channels are bound to their item vectors by name, so
+    the column order of ``rec.levels`` only has to match ``rec.channels``.
+    Sample t of n (1-based) contributes its level vector rotated right by
+    n - t: the running product of a channel is rotated one step before
+    each new factor, which gives the older factors one extra rotation per
+    remaining step.
     """
     if ngram_size < 1:
         raise ValueError(f"ngram size must be at least 1, got {ngram_size}")
@@ -109,10 +111,10 @@ def encode_windows(
         g, r = divmod(t, 8)
         acc ^= table[r, :, g : g + width][windows[:, t]].view(np.uint64)
     # C - 2 * (bits set) lies in [-C, C]; count in the narrowest signed type
-    # holding that range (wrapping in between is exact), then widen once.
+    # holding that range (wrapping in between is exact).
     total = np.add.reduce(
         np.unpackbits(bits, axis=-1, count=d), axis=1, dtype=np.min_scalar_type(-n_channels - 1)
     )
     total *= -2
     total += n_channels
-    return total.astype(hv.ACCUMULATOR_DTYPE)
+    return total

@@ -96,11 +96,16 @@ class ChannelStats:
 
 
 def drop_initial(rec: EegRecording, drop_samples: int) -> EegRecording:
-    """Remove the first ``drop_samples`` samples (transient suppression)."""
+    """Remove the first ``drop_samples`` samples (transient suppression).
+
+    The result's samples are a view of ``rec.samples``, not a copy: no
+    step of the chain writes samples in place (clip, downsample_mean and
+    compute_channel_stats each build new arrays).
+    """
     n = rec.samples.shape[0]
     if not 0 <= drop_samples < n:
         raise ValueError(f"{rec.patient_id}: cannot drop {drop_samples} of {n} samples")
-    return replace(rec, samples=rec.samples[drop_samples:].copy())
+    return replace(rec, samples=rec.samples[drop_samples:])
 
 
 def _nearest_rank(sorted_pool: np.ndarray, pct: float) -> float:
@@ -116,8 +121,10 @@ def compute_channel_stats(recordings, clip_low_pct: float = 0.5, clip_high_pct: 
 
     Samples of all recordings are pooled per channel.  Clip thresholds are
     nearest-rank percentiles of the pool; the quantization range is the
-    observed [min, max] of the pooled samples after clipping.  Returns a
-    tuple of ChannelStats in channel order.
+    observed [min, max] of the pooled samples after clipping, which is the
+    clip thresholds themselves: both are elements of the pool with low <=
+    high, so clipping maps the pool's extremes onto them.  Returns a tuple
+    of ChannelStats in channel order.
     """
     recordings = list(recordings)
     if not recordings:
@@ -138,15 +145,8 @@ def compute_channel_stats(recordings, clip_low_pct: float = 0.5, clip_high_pct: 
         pool.sort()
         lo = _nearest_rank(pool, clip_low_pct)
         hi = _nearest_rank(pool, clip_high_pct)
-        clipped = np.clip(pool, lo, hi)
         stats.append(
-            ChannelStats(
-                channel=name,
-                clip_low=lo,
-                clip_high=hi,
-                quant_min=float(clipped[0]),
-                quant_max=float(clipped[-1]),
-            )
+            ChannelStats(channel=name, clip_low=lo, clip_high=hi, quant_min=lo, quant_max=hi)
         )
     return tuple(stats)
 

@@ -169,7 +169,7 @@ def test_criterion_4_pipeline_shapes():
     im, cim = build_memories(params, q.channels)
     encoded = encode_windows(q, im, cim, params.ngram_size)
     assert encoded.shape == (28, 10000)
-    assert encoded.dtype == np.int64
+    assert encoded.dtype == np.int8
 
 
 @criterion(5, "synthetic end-to-end accuracy")

@@ -480,8 +480,8 @@ def test_sweep_final_point_matches_batch_training(sweep_result, prepared, small_
     report = evaluate(model, quantized[len(train_raw):])
     assert report.accuracy_pct == run.accuracies[-1]
 
-    # 128 channels: held-out window values leave int8's range, so the
-    # sweep keeps them as int64.
+    # 128 channels: window values leave int8's range, so the encoder
+    # returns int16 sums and the sweep scores those.
     spec = SyntheticSpec(
         patients_per_class=3, samples=768, channels=tuple(f"c{i}" for i in range(128))
     )

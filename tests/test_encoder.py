@@ -253,7 +253,7 @@ def test_encode_patient_produces_window_records():
     rec = make_quantized(rng.integers(0, 4, size=(9, 2)))
     out = encode_windows(rec, im, cim, 3)
     assert out.shape == (3, 16)
-    assert out.dtype == np.int64
+    assert out.dtype == np.int8
 
 
 def test_encode_patient_matches_windowwise_encoding():
@@ -324,7 +324,7 @@ def test_packed_kernel_matches_scalar_oracle(
         level_count=level_count,
     )
     got = encode_windows(rec, im, cim, ngram)
-    assert got.dtype == np.int64 and got.shape == (windows, dim)
+    assert got.dtype == np.min_scalar_type(-channels - 1) and got.shape == (windows, dim)
     chans = [im.vector(n).tolist() for n in names]
     cim_rows = cim.vectors.tolist()
     for w in range(windows):
@@ -346,13 +346,14 @@ def test_packed_kernel_many_channels():
     for w in range(2):
         rows = data[w * 9 : (w + 1) * 9].T.tolist()
         assert got[w].tolist() == oracle_window(rows, chans, cim.vectors.tolist())
+    assert got.dtype == np.int16
     assert set(np.abs(got[1]).tolist()) == {130}
 
 
 def test_packed_kernel_empty_recording():
     im, cim = small_memories()
     out = encode_windows(make_quantized(np.zeros((0, 2), dtype=int)), im, cim, 3)
-    assert out.shape == (0, 16) and out.dtype == np.int64
+    assert out.shape == (0, 16) and out.dtype == np.int8
 
 
 def test_packed_kernel_rejects_mismatched_dimensions():
