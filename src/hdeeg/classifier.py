@@ -10,6 +10,7 @@ half of its windows got the true label.
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -128,7 +129,11 @@ class PipelineParams:
 
 @dataclass(frozen=True, eq=False)
 class TrainedModel:
-    """Memories plus the statistics and parameters that produced them."""
+    """Memories plus the statistics and parameters that produced them.
+
+    ``train_ids`` and ``test_ids`` each name a patient at most once and
+    share none, else ValueError: a held-out set must be held out.
+    """
 
     params: PipelineParams
     item_memory: ItemMemory
@@ -137,6 +142,15 @@ class TrainedModel:
     channel_stats: tuple
     train_ids: tuple = ()
     test_ids: tuple = ()
+
+    def __post_init__(self):
+        for name, ids in (("train_ids", self.train_ids), ("test_ids", self.test_ids)):
+            repeated = sorted(i for i, n in Counter(ids).items() if n > 1)
+            if repeated:
+                raise ValueError(f"{name} name patient(s) {repeated} more than once")
+        both = sorted(set(self.train_ids) & set(self.test_ids))
+        if both:
+            raise ValueError(f"patient(s) {both} are in both train_ids and test_ids")
 
     @property
     def channels(self) -> tuple:

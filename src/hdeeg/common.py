@@ -1,4 +1,4 @@
-"""Shared vocabulary: class labels and seeded randomness helpers.
+"""Shared vocabulary: class labels, the data error, seeded randomness helpers.
 
 Every random draw in the package flows through :func:`make_rng`, a PCG64
 generator seeded with an unsigned 64-bit integer.  Independent streams for
@@ -13,6 +13,10 @@ from enum import Enum
 import numpy as np
 
 MAX_SEED = 2**64
+
+
+class DataValidationError(ValueError):
+    """Dataset contents violate the format contract."""
 
 
 class Label(str, Enum):

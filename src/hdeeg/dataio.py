@@ -24,7 +24,7 @@ from pathlib import Path, PureWindowsPath
 
 import numpy as np
 
-from .common import Label, check_seed, derive_seed, make_rng
+from .common import DataValidationError, Label, check_seed, derive_seed, make_rng
 from .preprocess import EegRecording
 
 __all__ = [
@@ -43,10 +43,6 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 _JSON_TYPES = {str: "string", list: "list"}
-
-
-class DataValidationError(ValueError):
-    """Dataset contents violate the format contract."""
 
 
 @dataclass(frozen=True)

@@ -135,17 +135,18 @@ def load_model(path) -> TrainedModel:
         im = ItemMemory(channels, item)
         cim = ContinuousItemMemory(level)
         am = AssociativeMemory.from_state(proto_adhd, proto_control, counts, params.gate_threshold)
+        # The model rejects repeated or overlapping split ids.
+        model = TrainedModel(
+            params=params,
+            item_memory=im,
+            level_memory=cim,
+            memory=am,
+            channel_stats=stats,
+            train_ids=train_ids,
+            test_ids=test_ids,
+        )
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
-    model = TrainedModel(
-        params=params,
-        item_memory=im,
-        level_memory=cim,
-        memory=am,
-        channel_stats=stats,
-        train_ids=train_ids,
-        test_ids=test_ids,
-    )
     if _header_line(model) != line:
         raise ModelFormatError(f"{path}: header is not the one save_model writes for this model")
     return model

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .common import Label
+from .common import DataValidationError, Label
 
 LEVEL_DTYPE = np.int32
 
@@ -67,13 +67,33 @@ class QuantizedRecording:
 
 @dataclass(frozen=True)
 class ChannelStats:
-    """Clip thresholds and quantization range for one channel."""
+    """Clip thresholds and quantization range for one channel.
+
+    Every value must be finite, with clip_low <= clip_high and quant_min <
+    quant_max; otherwise DataValidationError naming the channel.  So a
+    channel that is constant over the statistics pool, whose range is one
+    point, cannot be quantized and is a data error.
+    """
 
     channel: str
     clip_low: float
     clip_high: float
     quant_min: float
     quant_max: float
+
+    def __post_init__(self):
+        values = (self.clip_low, self.clip_high, self.quant_min, self.quant_max)
+        if not all(math.isfinite(v) for v in values):
+            raise DataValidationError(f"channel {self.channel}: non-finite channel stats {values}")
+        if self.clip_high < self.clip_low:
+            raise DataValidationError(
+                f"channel {self.channel}: clip range [{self.clip_low}, {self.clip_high}] is reversed"
+            )
+        if self.quant_max <= self.quant_min:
+            raise DataValidationError(
+                f"channel {self.channel}: degenerate quantization range "
+                f"[{self.quant_min}, {self.quant_max}]"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -190,9 +210,6 @@ def quantize(rec: EegRecording, stats, level_count: int) -> QuantizedRecording:
     lo = np.array([s.quant_min for s in ordered])
     hi = np.array([s.quant_max for s in ordered])
     span = hi - lo
-    degenerate = [s.channel for s, d in zip(ordered, span) if d <= 0]
-    if degenerate:
-        raise ValueError(f"{rec.patient_id}: degenerate quantization range on {degenerate}")
     scaled = (rec.samples - lo[np.newaxis, :]) / span[np.newaxis, :] * level_count
     levels = np.clip(np.floor(scaled), 0, level_count - 1).astype(LEVEL_DTYPE)
     return QuantizedRecording(

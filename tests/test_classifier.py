@@ -15,7 +15,9 @@ from hdeeg import (
     PatientPrediction,
     PipelineParams,
     SyntheticSpec,
+    clip,
     compute_channel_stats,
+    downsample_mean,
     drop_initial,
     evaluate,
     classify_patient,
@@ -23,7 +25,9 @@ from hdeeg import (
     derive_seed,
     incremental_sweep,
     preprocess_recording,
+    quantize,
     run_trial,
+    save_model,
     split,
     summarize,
     train,
@@ -175,6 +179,23 @@ def test_train_keeps_bookkeeping(prepared, small_params):
     # the gate may reject some, but at least the first is always kept.
     for label in Label:
         assert 1 <= model.memory.bundle_count(label) <= 6
+
+
+@pytest.mark.parametrize(
+    "train_ids, test_ids, match",
+    [
+        (("adhd-001", "control-001", "adhd-001"), (), r"train_ids name .*\['adhd-001'\]"),
+        (("adhd-001", "control-001"), ("adhd-002",) * 3, r"test_ids name .*\['adhd-002'\]"),
+        (("adhd-001", "control-001"), ("control-001",), r"\['control-001'\] are in both"),
+    ],
+)
+def test_train_rejects_repeated_or_overlapping_ids(
+    prepared, small_params, train_ids, test_ids, match
+):
+    _, _, stats, q = prepared
+    recs = pick(q, "adhd-001", "control-001")
+    with pytest.raises(ValueError, match=match):
+        train(recs, small_params, stats, train_ids=train_ids, test_ids=test_ids)
 
 
 # -------------------------------------------------------------- prediction
@@ -416,6 +437,37 @@ def test_run_trial_missing_recording(small_dataset, small_params, small_counts):
     manifest, recordings = small_dataset
     with pytest.raises(ValueError, match="missing"):
         run_trial(manifest, recordings[:-1], small_params, *small_counts)
+
+
+def read_only(rec):
+    samples = rec.samples.copy()
+    samples.flags.writeable = False
+    return replace(rec, samples=samples)
+
+
+def test_pipeline_never_writes_samples(small_dataset, small_params, small_counts, tmp_path):
+    # drop_initial returns a view of the caller's samples, so every later
+    # step must build new arrays; a write into a read-only array raises.
+    manifest, recordings = small_dataset
+    frozen = [read_only(r) for r in recordings]
+    outcomes = []
+    for recs in (recordings, frozen):
+        model, report = run_trial(manifest, recs, small_params, *small_counts)
+        path = tmp_path / f"model{len(outcomes)}.bin"
+        save_model(model, path)
+        outcomes.append((path.read_bytes(), report.to_dict()))
+    assert outcomes[0] == outcomes[1]
+
+    p = small_params
+    chains = []
+    for recs in (recordings, frozen):
+        dropped = [drop_initial(r, p.drop_samples) for r in recs]
+        stats = compute_channel_stats(dropped, p.clip_low_pct, p.clip_high_pct)
+        conditioned = [downsample_mean(clip(d, stats), p.downsample_factor) for d in dropped]
+        chains.append((stats, [quantize(c, stats, p.level_count).levels for c in conditioned]))
+    assert all(not d.samples.flags.writeable for d in dropped)
+    assert chains[0][0] == chains[1][0]
+    assert all(np.array_equal(a, b) for a, b in zip(chains[0][1], chains[1][1]))
 
 
 # ------------------------------------------------------------------- sweep

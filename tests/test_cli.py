@@ -365,6 +365,101 @@ def test_non_finite_gate_snapshot_is_data_error(dataset_dir, model_path, tmp_pat
     assert main(["inspect-model", "--model", str(bad)]) == EXIT_DATA
 
 
+def _set_stats(**fields):
+    return lambda header, arrays: header["channel_stats"][1].update(fields)
+
+
+UNUSABLE_STATS = {
+    "nan_clip_low": (_set_stats(clip_low=float("nan")), "non-finite"),
+    "empty_quant_range": (_set_stats(quant_max=0.5, quant_min=0.5), "degenerate quantization"),
+    "swapped_quant_range": (_set_stats(quant_max=-1.0, quant_min=1.0), "degenerate quantization"),
+    "reversed_clip_range": (_set_stats(clip_low=1.0, clip_high=-1.0), "clip range"),
+}
+
+
+@pytest.mark.parametrize("edit, reason", UNUSABLE_STATS.values(), ids=UNUSABLE_STATS.keys())
+def test_unusable_channel_stats_snapshot_is_data_error(
+    dataset_dir, model_path, tmp_path, rewrite_snapshot, capsys, edit, reason
+):
+    bad = tmp_path / "stats.bin"
+    rewrite_snapshot(model_path, bad, edit)
+    report = tmp_path / "r.json"
+    code = main(
+        ["eval", "--manifest", str(dataset_dir), "--model", str(bad), "--report", str(report)]
+    )
+    assert code == EXIT_DATA
+    assert f"channel Cz: {reason}" in capsys.readouterr().err
+    assert not report.exists()
+    assert main(["inspect-model", "--model", str(bad)]) == EXIT_DATA
+    assert capsys.readouterr().out == ""
+
+
+@pytest.fixture(scope="module")
+def constant_channel_dataset(dataset_dir, tmp_path_factory):
+    """The module dataset with channel Cz held at 4.0 uV in every recording."""
+    manifest, recordings = load_dataset(dataset_dir)
+    flat = []
+    for rec in recordings:
+        samples = rec.samples.copy()
+        samples[:, 1] = 4.0
+        flat.append(replace(rec, samples=samples))
+    root = tmp_path_factory.mktemp("constant")
+    write_dataset(root, manifest, flat)
+    return root
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", *COUNTS],
+        ["sweep", "--test-size", "2", "--max-train", "3", "--runs", "1"],
+        ["preprocess"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_constant_channel_is_data_error(constant_channel_dataset, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = main(
+        [argv[0], "--manifest", str(constant_channel_dataset), "--out", str(out),
+         *argv[1:], *SMALL]
+    )
+    assert code == EXIT_DATA
+    assert "channel Cz: degenerate quantization range [4.0, 4.0]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SPLIT_EDITS = {
+    "repeated_test_id": (
+        lambda header, arrays: header.update(test_ids=[header["test_ids"][0]] * 3),
+        "test_ids name patient(s)",
+    ),
+    "test_ids_from_training": (
+        lambda header, arrays: header.update(test_ids=header["train_ids"][:2]),
+        "in both train_ids and test_ids",
+    ),
+    "repeated_train_id": (
+        lambda header, arrays: header["train_ids"].append(header["train_ids"][0]),
+        "train_ids name patient(s)",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, reason", SPLIT_EDITS.values(), ids=SPLIT_EDITS.keys())
+def test_snapshot_split_ids_must_be_unique_and_disjoint(
+    dataset_dir, model_path, tmp_path, rewrite_snapshot, capsys, edit, reason
+):
+    bad = tmp_path / "split.bin"
+    rewrite_snapshot(model_path, bad, edit)
+    report = tmp_path / "r.json"
+    code = main(
+        ["eval", "--manifest", str(dataset_dir), "--model", str(bad), "--report", str(report)]
+    )
+    assert code == EXIT_DATA
+    assert reason in capsys.readouterr().err
+    assert not report.exists()
+    assert main(["inspect-model", "--model", str(bad)]) == EXIT_DATA
+
+
 # ------------------------------------------------------ length policy
 
 

@@ -304,6 +304,21 @@ def test_rejects_header_save_model_would_not_write(trained, tmp_path, edit):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda header: header.update(test_ids=header["test_ids"][:1] * 2), "test_ids name"),
+        (lambda header: header["train_ids"].append(header["train_ids"][-1]), "train_ids name"),
+        (lambda header: header["test_ids"].append(header["train_ids"][0]), "in both"),
+    ],
+)
+def test_rejects_repeated_or_overlapping_split_ids(trained, tmp_path, edit, match):
+    path = _saved(trained[0], tmp_path)
+    _set_header(path, edit)
+    with pytest.raises(ModelFormatError, match=match):
+        load_model(path)
+
+
 @pytest.mark.parametrize("gate", [float("nan"), float("inf")])
 def test_rejects_non_finite_gate_threshold(trained, tmp_path, gate):
     path = _saved(trained[0], tmp_path)

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdeeg import (
     ChannelStats,
+    DataValidationError,
     EegRecording,
     Label,
     clip,
@@ -110,6 +111,38 @@ def test_channel_stats_validation():
         compute_channel_stats([rec, other], 0.5, 99.5)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "values, match",
+    [
+        ((NAN, 5.0, -5.0, 5.0), "non-finite"),
+        ((-5.0, INF, -5.0, 5.0), "non-finite"),
+        ((-5.0, 5.0, -INF, 5.0), "non-finite"),
+        ((-5.0, 5.0, -5.0, NAN), "non-finite"),
+        ((5.0, -5.0, -5.0, 5.0), "clip range .* is reversed"),
+        ((-5.0, 5.0, 2.0, 2.0), "degenerate quantization range"),
+        ((-5.0, 5.0, 5.0, -5.0), "degenerate quantization range"),
+    ],
+)
+def test_channel_stats_reject_unusable_values(values, match):
+    with pytest.raises(DataValidationError, match=f"channel Cz: {match}"):
+        ChannelStats("Cz", *values)
+
+
+def test_channel_stats_allow_one_point_clip_range():
+    # Only the quantization range must be wide; clipping to a point is legal.
+    assert ChannelStats("Cz", 1.0, 1.0, -5.0, 5.0).clip_high == 1.0
+
+
+def test_constant_channel_is_data_error():
+    rec = make_rec(np.column_stack([np.arange(10.0), np.full(10, 4.0)]), channels=("F4", "Cz"))
+    match = r"channel Cz: degenerate quantization range \[4.0, 4.0\]"
+    with pytest.raises(DataValidationError, match=match):
+        compute_channel_stats([rec])
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     st.lists(
@@ -120,12 +153,19 @@ def test_channel_stats_validation():
     st.floats(min_value=0.0, max_value=49.0),
     st.floats(min_value=51.0, max_value=100.0),
 )
+@example(values=[3.0, 3.0, 3.0], low=0.5, high=99.5)
 def test_channel_stats_match_oracle(values, low, high):
     rec = make_rec(values)
+    lo, hi = naive_percentile(values, low), naive_percentile(values, high)
+    clipped = [min(max(v, lo), hi) for v in values]
+    if min(clipped) == max(clipped):
+        # A pool constant between the clip percentiles cannot be quantized.
+        with pytest.raises(DataValidationError, match="channel F4: degenerate quantization range"):
+            compute_channel_stats([rec], low, high)
+        return
     (stats,) = compute_channel_stats([rec], low, high)
-    assert stats.clip_low == naive_percentile(values, low)
-    assert stats.clip_high == naive_percentile(values, high)
-    clipped = [min(max(v, stats.clip_low), stats.clip_high) for v in values]
+    assert stats.clip_low == lo
+    assert stats.clip_high == hi
     assert stats.quant_min == min(clipped)
     assert stats.quant_max == max(clipped)
 
