@@ -437,10 +437,6 @@ SPLIT_EDITS = {
         lambda header, arrays: header.update(test_ids=header["train_ids"][:2]),
         "in both train_ids and test_ids",
     ),
-    "repeated_train_id": (
-        lambda header, arrays: header["train_ids"].append(header["train_ids"][0]),
-        "train_ids name patient(s)",
-    ),
 }
 
 
