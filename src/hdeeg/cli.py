@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .classifier import (
@@ -25,6 +26,7 @@ from .dataio import (
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
+    load_manifest,
     write_csv,
     write_dataset,
 )
@@ -188,8 +190,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Score a model on its held-out patients; only their CSVs are parsed.
+
+    The model is checked against the manifest before any CSV is read.  Every
+    other manifest patient's CSV gets load_dataset's UTF-8, header and row
+    count checks, so the length and equal-length rules still cover it; a
+    non-numeric or non-finite value, a blank row or a row with the wrong
+    number of values there goes unreported.
+    """
     model = load_model(args.model)
-    manifest, recordings = load_dataset(args.manifest)
+    manifest = load_manifest(args.manifest)
     if not model.test_ids:
         raise DataValidationError("model holds no held-out test patients to evaluate")
     # Encoder and stats look channels up by name, so only the set must match.
@@ -197,12 +207,15 @@ def cmd_eval(args) -> int:
         raise DataValidationError(
             f"dataset channels {manifest.channels} differ from the model's {model.channels}"
         )
-    by_id = {rec.patient_id: rec for rec in recordings}
-    missing = [i for i in model.test_ids if i not in by_id]
+    known = {p.id for p in manifest.patients}
+    missing = [i for i in model.test_ids if i not in known]
     if missing:
         raise DataValidationError(f"dataset lacks the model's test patient(s) {missing}")
-    for rec in recordings:
-        model.params.check_length(rec)
+    manifest, recordings = load_dataset(args.manifest, ids=model.test_ids)
+    # load_dataset held every manifest patient to one row count, so the
+    # length rule passes for all of them or first fails for the first.
+    model.params.check_length(replace(recordings[0], patient_id=manifest.patients[0].id))
+    by_id = {rec.patient_id: rec for rec in recordings}
     q_test = [
         preprocess_recording(
             by_id[i],

@@ -152,7 +152,8 @@ def load_manifest(path) -> DatasetManifest:
         raise DataValidationError(f"{path}: {exc}") from exc
 
 
-def _parse_patient_csv(path: Path, patient: PatientEntry, channels) -> np.ndarray:
+def _data_rows(path: Path, patient: PatientEntry, channels) -> list:
+    """The data rows of a patient CSV, after its UTF-8 and header checks."""
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -164,7 +165,12 @@ def _parse_patient_csv(path: Path, patient: PatientEntry, channels) -> np.ndarra
         raise DataValidationError(
             f"{patient.id}: header {header} does not match manifest channels {tuple(channels)}"
         )
-    rows = lines[1:]
+    if len(lines) == 1:
+        raise DataValidationError(f"{patient.id}: no samples in {path}")
+    return lines[1:]
+
+
+def _parse_rows(rows, patient: PatientEntry, channels) -> np.ndarray:
     samples = None
     if any(rows):  # all rows blank: loadtxt would only warn "no data"
         # numpy's C reader parses each field with the routine float() uses,
@@ -177,7 +183,7 @@ def _parse_patient_csv(path: Path, patient: PatientEntry, channels) -> np.ndarra
         except ValueError:
             pass
     if samples is None or samples.shape != (len(rows), len(channels)):
-        samples = _scan_rows(rows, path, patient, channels)
+        samples = _scan_rows(rows, patient, channels)
     bad = np.argwhere(~np.isfinite(samples))
     if bad.size:
         r, c = bad[0]
@@ -187,7 +193,7 @@ def _parse_patient_csv(path: Path, patient: PatientEntry, channels) -> np.ndarra
     return samples
 
 
-def _scan_rows(rows, path: Path, patient: PatientEntry, channels) -> np.ndarray:
+def _scan_rows(rows, patient: PatientEntry, channels) -> np.ndarray:
     """Parse data rows one by one with float(); the first bad row raises."""
     n_ch = len(channels)
     values = []
@@ -205,34 +211,50 @@ def _scan_rows(rows, path: Path, patient: PatientEntry, channels) -> np.ndarray:
             raise DataValidationError(
                 f"{patient.id}: row {lineno} holds a non-numeric value"
             ) from None
-    if not values:
-        raise DataValidationError(f"{patient.id}: no samples in {path}")
     return np.asarray(values, dtype=np.float64)
 
 
-def load_dataset(path):
+def load_dataset(path, ids=None):
     """Load a dataset directory.
 
     Returns (manifest, recordings); recordings keep manifest order and are
     validated for shape, finite values, and header consistency.
+
+    With ``ids``, recordings come back only for those patients, and only
+    their values are parsed; an id the manifest lacks is a
+    DataValidationError.  Every other manifest patient's file is still read
+    as UTF-8 text, its header checked and its data rows counted (the lines
+    ``str.splitlines`` gives after the header, as the parser sees them), so
+    bad bytes, a bad header and unequal lengths are errors as before.  A
+    non-numeric or non-finite value, a blank row or a row with the wrong
+    number of values there goes unreported.
     """
     path = Path(path)
     root = path if path.is_dir() else path.parent
     manifest = load_manifest(path)
+    wanted = None
+    if ids is not None:
+        wanted = set(ids)
+        known = {p.id for p in manifest.patients}
+        unknown = [i for i in dict.fromkeys(ids) if i not in known]
+        if unknown:
+            raise DataValidationError(f"manifest lacks patient(s) {unknown}")
     recordings = []
+    lengths = set()
     for patient in manifest.patients:
-        csv_path = root / patient.path
-        samples = _parse_patient_csv(csv_path, patient, manifest.channels)
-        recordings.append(
-            EegRecording(
-                patient_id=patient.id,
-                label=patient.label,
-                channels=manifest.channels,
-                samples=samples,
-                sample_rate_hz=manifest.sample_rate_hz,
+        rows = _data_rows(root / patient.path, patient, manifest.channels)
+        lengths.add(len(rows))
+        if wanted is None or patient.id in wanted:
+            recordings.append(
+                EegRecording(
+                    patient_id=patient.id,
+                    label=patient.label,
+                    channels=manifest.channels,
+                    samples=_parse_rows(rows, patient, manifest.channels),
+                    sample_rate_hz=manifest.sample_rate_hz,
+                )
             )
-        )
-    lengths = {rec.samples.shape[0] for rec in recordings}
+        del rows  # one file's lines in memory at a time, not two
     if len(lengths) > 1:
         raise DataValidationError(f"recordings disagree on sample count: {sorted(lengths)}")
     return manifest, recordings

@@ -319,6 +319,48 @@ def test_eval_without_held_out_patients_is_data_error(dataset_dir, tmp_path):
     assert code == EXIT_DATA
 
 
+def test_eval_checks_the_model_before_reading_any_csv(dataset_dir, tmp_path, capsys):
+    root = tmp_path / "ds"
+    shutil.copytree(dataset_dir, root)
+    for csv in (root / "patients").iterdir():
+        csv.unlink()
+    model = tmp_path / "no-test.bin"
+    code = main(
+        ["train", "--manifest", str(dataset_dir), "--out", str(model),
+         "--train-adhd", "2", "--train-control", "2",
+         "--test-adhd", "0", "--test-control", "0", *SMALL]
+    )
+    assert code == EXIT_OK
+    capsys.readouterr()
+    code = main(
+        ["eval", "--manifest", str(root), "--model", str(model),
+         "--report", str(tmp_path / "r.json")]
+    )
+    assert code == EXIT_DATA
+    assert "model holds no held-out test patients to evaluate" in capsys.readouterr().err
+
+
+def test_eval_on_manifest_without_a_test_patient_is_data_error(
+    dataset_dir, model_path, tmp_path, capsys
+):
+    held_out = load_model(model_path).test_ids[1]
+    root = tmp_path / "ds"
+    shutil.copytree(dataset_dir, root)
+    manifest = root / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["patients"] = [p for p in doc["patients"] if p["id"] != held_out]
+    manifest.write_text(json.dumps(doc))
+    report = tmp_path / "r.json"
+    code = main(
+        ["eval", "--manifest", str(root), "--model", str(model_path), "--report", str(report)]
+    )
+    assert code == EXIT_DATA
+    assert (
+        f"dataset lacks the model's test patient(s) ['{held_out}']" in capsys.readouterr().err
+    )
+    assert not report.exists()
+
+
 def test_eval_corrupt_model_is_data_error(dataset_dir, tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"not a model at all")
@@ -496,6 +538,116 @@ def test_partial_windows_are_data_errors_before_encoding(
         assert f"adhd-001: {samples} samples" in err, name
         assert "256 + k * 256 samples" in err, name
     assert not any(tmp_path.iterdir())
+
+
+@pytest.fixture(scope="module")
+def unscored_model(dataset_dir, tmp_path_factory):
+    """A model of the module dataset whose held-out set leaves out adhd-001."""
+    out = tmp_path_factory.mktemp("unscored") / "model.bin"
+    code = main(
+        ["train", "--manifest", str(dataset_dir), "--out", str(out), *COUNTS, *SMALL,
+         "--seed", "8"]
+    )
+    assert code == EXIT_OK
+    assert "adhd-001" not in load_model(out).test_ids
+    return out
+
+
+def test_eval_length_rule_covers_patients_it_does_not_score(
+    uneven_dataset, unscored_model, tmp_path, monkeypatch, capsys
+):
+    root, samples = uneven_dataset
+
+    def no_encoding(*args, **kwargs):
+        raise AssertionError("encoded a recording before checking its length")
+
+    monkeypatch.setattr(classifier, "encode_windows", no_encoding)
+    report = tmp_path / "r.json"
+    code = main(
+        ["eval", "--manifest", str(root), "--model", str(unscored_model), "--report", str(report)]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"adhd-001: {samples} samples" in err
+    assert "256 + k * 256 samples" in err
+    assert not report.exists()
+
+
+def edit_training_csv(dataset_dir, model_path, root, edit):
+    """Copy the dataset, passing one training patient's CSV bytes through ``edit``."""
+    shutil.copytree(dataset_dir, root)
+    pid = load_model(model_path).train_ids[0]
+    csv = root / "patients" / f"{pid}.csv"
+    csv.write_bytes(edit(csv.read_bytes()))
+    return pid
+
+
+def with_first_row(row):
+    """An edit of CSV bytes that puts ``row`` in place of the first data row."""
+
+    def edit(data):
+        header, _, *rest = data.split(b"\n")
+        return b"\n".join([header, row, *rest])
+
+    return edit
+
+
+UNSCORED_FILE_ERRORS = {
+    "extra_row": (
+        lambda data: data + b"1.0,2.0\n",
+        ["recordings disagree on sample count: [1792, 1793]"],
+    ),
+    "wrong_header": (
+        lambda data: data.replace(b"F4,Cz", b"F4,Pz", 1),
+        ["{pid}: header ('F4', 'Pz') does not match manifest channels ('F4', 'Cz')"],
+    ),
+    "not_utf8": (with_first_row(b"1.0,2.\xff0"), ["{pid}: ", "is not UTF-8 text"]),
+}
+
+
+@pytest.mark.parametrize(
+    "edit, messages", UNSCORED_FILE_ERRORS.values(), ids=UNSCORED_FILE_ERRORS.keys()
+)
+def test_eval_checks_files_of_patients_it_does_not_score(
+    dataset_dir, model_path, tmp_path, capsys, edit, messages
+):
+    root = tmp_path / "ds"
+    pid = edit_training_csv(dataset_dir, model_path, root, edit)
+    report = tmp_path / "r.json"
+    code = main(
+        ["eval", "--manifest", str(root), "--model", str(model_path), "--report", str(report)]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    for message in messages:
+        assert message.format(pid=pid) in err
+    assert not report.exists()
+
+
+UNSCORED_VALUES = {"non_numeric": b"1.0,oops", "non_finite": b"nan,2.0", "blank_row": b""}
+
+
+@pytest.mark.parametrize("row", UNSCORED_VALUES.values(), ids=UNSCORED_VALUES.keys())
+def test_eval_leaves_values_of_patients_it_does_not_score_unparsed(
+    dataset_dir, model_path, tmp_path, row
+):
+    # The policy: eval parses only the held-out patients' values, so a bad
+    # value in a training patient's CSV is train's error, not eval's.
+    root = tmp_path / "ds"
+    edit_training_csv(dataset_dir, model_path, root, with_first_row(row))
+    reports = []
+    for manifest in (dataset_dir, root):
+        reports.append(tmp_path / f"{len(reports)}.json")
+        code = main(
+            ["eval", "--manifest", str(manifest), "--model", str(model_path),
+             "--report", str(reports[-1])]
+        )
+        assert code == EXIT_OK
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    out = tmp_path / "m.bin"
+    code = main(["train", "--manifest", str(root), "--out", str(out), *COUNTS, *SMALL])
+    assert code == EXIT_DATA
+    assert not out.exists()
 
 
 def test_preprocess_needs_whole_downsampling_blocks(uneven_dataset, tmp_path, capsys):

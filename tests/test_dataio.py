@@ -400,6 +400,72 @@ def test_load_dataset_unequal_lengths(tmp_path):
         load_dataset(tmp_path)
 
 
+# ------------------------------------------------- loading some patients
+
+
+def test_load_dataset_ids_not_in_manifest(tmp_path):
+    m = tiny_manifest()
+    write_dataset(tmp_path, m, tiny_recordings(m))
+    with pytest.raises(DataValidationError, match=r"manifest lacks patient\(s\) \['z9', 'x1'\]"):
+        load_dataset(tmp_path, ids=["a0", "z9", "x1", "z9"])
+
+
+def test_load_dataset_ids_parse_only_those_patients(tmp_path, monkeypatch):
+    m = tiny_manifest(n_per_class=3)
+    write_dataset(tmp_path, m, tiny_recordings(m))
+    full_manifest, full = load_dataset(tmp_path)
+    parsed = []
+    loadtxt = np.loadtxt
+
+    def counting_loadtxt(rows, *args, **kwargs):
+        parsed.append(rows)
+        return loadtxt(rows, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    ids = ["c2", "a1", "c0"]
+    manifest, some = load_dataset(tmp_path, ids=ids)
+    assert len(parsed) == len(ids)
+    assert manifest == full_manifest
+    assert [r.patient_id for r in some] == ["a1", "c0", "c2"]
+    by_id = {r.patient_id: r for r in full}
+    for rec in some:
+        assert rec.label is by_id[rec.patient_id].label
+        assert np.array_equal(rec.samples, by_id[rec.patient_id].samples)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("F4,Pz\n1.0,2.0\n", "a0: header"),
+        ("", "a0: .* is empty"),
+        ("F4,Cz\n", "a0: no samples"),
+        ("F4,Cz\n1.0,2.0\n", "sample count: \\[1, 16\\]"),
+        ("F4,Cz\n" + "1.0,2.0\n" * 15 + "\u2028\n", "sample count: \\[16, 17\\]"),
+    ],
+    ids=["header", "empty", "header_only", "short", "unicode_line_break"],
+)
+def test_load_dataset_ids_still_check_other_patients_files(tmp_path, text, match):
+    root = write_patient_csv(tmp_path, text)
+    with pytest.raises(DataValidationError, match=match):
+        load_dataset(root, ids=["c1"])
+
+
+def test_load_dataset_ids_check_other_patients_are_utf8(tmp_path):
+    root = write_patient_csv(tmp_path, "")
+    (root / "patients/a0.csv").write_bytes(b"F4,Cz\n1.0,\xff\n")
+    with pytest.raises(DataValidationError, match="a0: .* is not UTF-8 text"):
+        load_dataset(root, ids=["c1"])
+
+
+@pytest.mark.parametrize("row", ["1.0,oops", "nan,2.0", "", "1.0", "1.0,2.0,3.0"])
+def test_load_dataset_ids_leave_other_patients_values_unparsed(tmp_path, row):
+    root = write_patient_csv(tmp_path, "F4,Cz\n" + "1.0,2.0\n" * 15 + row + "\n")
+    _, (recording,) = load_dataset(root, ids=["c1"])
+    assert recording.patient_id == "c1"
+    with pytest.raises(DataValidationError, match="a0: "):
+        load_dataset(root)
+
+
 # ------------------------------------------------- csv reader vs oracle
 # The row-by-row parser load_dataset used before it read whole files with
 # numpy, kept verbatim as the reference: on any text the reader must give
