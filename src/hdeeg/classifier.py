@@ -1,8 +1,8 @@
 """Training, per-window classification, patient voting, and evaluation.
 
-A model is trained by gated accumulation: every encoded window of every
-training patient is offered to the associative memory in deterministic
-order (patients as given, windows in temporal order).  A patient is
+A model is trained by gated accumulation: each training patient's (W, D)
+window matrix is offered to the associative memory in one call, patients
+as given and windows in temporal order.  A patient is
 classified by the majority label of its windows' (W, 2) similarities;
 a patient counts as correctly classified only when strictly more than
 half of its windows got the true label.
@@ -133,6 +133,8 @@ class TrainedModel:
 
     ``train_ids`` and ``test_ids`` each name a patient at most once and
     share none, else ValueError: a held-out set must be held out.
+    ``channel_stats`` name the item memory's channels in the same order,
+    else ValueError, so every model ``save_model`` writes loads again.
     """
 
     params: PipelineParams
@@ -144,6 +146,8 @@ class TrainedModel:
     test_ids: tuple = ()
 
     def __post_init__(self):
+        if tuple(s.channel for s in self.channel_stats) != self.channels:
+            raise ValueError(f"channel stats do not match channels {self.channels}")
         for name, ids in (("train_ids", self.train_ids), ("test_ids", self.test_ids)):
             repeated = sorted(i for i, n in Counter(ids).items() if n > 1)
             if repeated:
@@ -266,8 +270,7 @@ def train(
     im, cim = build_memories(params, channels)
     am = AssociativeMemory(params.dimension, params.gate_threshold)
     for rec in train_set:
-        for vector in encode_windows(rec, im, cim, params.ngram_size):
-            am.update(vector, rec.label)
+        am.offer(encode_windows(rec, im, cim, params.ngram_size), rec.label)
     return TrainedModel(
         params=params,
         item_memory=im,
@@ -504,16 +507,10 @@ def incremental_sweep(
         test_encodings = [encode_windows(q, im, cim, params_r.ngram_size) for q in q_test]
         am = AssociativeMemory(params_r.dimension, params_r.gate_threshold)
         accuracies = []
-        scored_counts = None
         for q in q_train:
-            for vector in encode_windows(q, im, cim, params_r.ngram_size):
-                am.update(vector, q.label)
-            # Every admitted window bumps its class count, so unchanged
-            # counts mean unchanged prototypes and the same accuracy.
-            counts = (am.bundle_count(Label.ADHD), am.bundle_count(Label.CONTROL))
-            if counts != scored_counts:
+            # The first patient always admits its first window.
+            if am.offer(encode_windows(q, im, cim, params_r.ngram_size), q.label) > 0:
                 accuracy = _sweep_accuracy(am, q_test, test_encodings)
-                scored_counts = counts
             accuracies.append(accuracy)
         return SweepRun(
             run_seed=run_seed,

@@ -3,9 +3,9 @@
 ItemMemory maps channel names to fixed random bipolar vectors.
 ContinuousItemMemory maps quantization levels to bipolar vectors whose
 pairwise distance grows with level distance (a cumulative flip schedule).
-AssociativeMemory keeps one integer prototype accumulator per class;
-``similarities`` scores a (W, D) window matrix against both as one (W, 2)
-cosine array (ADHD, CONTROL), and the training gate shares its kernel.
+AssociativeMemory keeps one integer prototype accumulator per class and
+takes a patient's (W, D) window matrix whole: ``offer`` gates its rows
+in, ``similarities`` scores them as (W, 2) cosines (ADHD, CONTROL).
 """
 
 import numpy as np
@@ -161,7 +161,7 @@ class AssociativeMemory:
     of a class is always accepted; afterwards a vector is bundled into its
     class prototype only when its cosine similarity to that prototype is
     below ``gate_threshold``, so near-duplicates do not pile up.  The other
-    class's prototype is never touched by an update.
+    class's prototype is never touched by an ``offer``.
     """
 
     def __init__(self, dimension: int, gate_threshold: float = 0.5):
@@ -174,7 +174,7 @@ class AssociativeMemory:
         self._counts = {Label.ADHD: 0, Label.CONTROL: 0}
         # Float copy of the prototypes and their norms, keyed by the bundle
         # counts it was made at: every admission bumps a count, so equal
-        # counts mean equal prototypes.  The per-window gate reuses it.
+        # counts mean equal prototypes.  The gate in offer() reuses it.
         self._float_key, self._float = None, None
 
     @classmethod
@@ -206,27 +206,30 @@ class AssociativeMemory:
     def bundle_count(self, label: Label) -> int:
         return self._counts[Label(label)]
 
-    def update(self, vector: np.ndarray, label: Label) -> "AssociativeMemory":
-        """Accumulate ``vector`` into the prototype for ``label`` if gated in.
+    def offer(self, vectors: np.ndarray, label: Label) -> int:
+        """Gate each row of a (W, D) integer matrix, in order, into ``label``'s prototype.
 
-        An empty prototype accepts unconditionally; otherwise the vector
-        is bundled only when cosine(vector, prototype) < gate_threshold.
-        Returns self either way.
+        An empty prototype admits a row unconditionally; otherwise the row
+        is bundled only when cosine(row, prototype so far) < gate_threshold.
+        The matrix is checked before any row is bundled, so a rejected one
+        leaves the memory as it was.  Returns how many rows were admitted.
         """
         label = Label(label)
-        vec = np.asarray(vector)
-        if vec.shape != (self._dimension,):
-            raise ValueError(f"expected shape ({self._dimension},), got {vec.shape}")
-        if not np.issubdtype(vec.dtype, np.integer):
+        vectors = np.asarray(vectors)
+        if vectors.ndim != 2 or vectors.shape[1] != self._dimension:
+            raise ValueError(f"expected shape (W, {self._dimension}), got {vectors.shape}")
+        if not np.issubdtype(vectors.dtype, np.integer):
             raise ValueError("prototype updates take integer vectors")
-        if not vec.any():
+        if not vectors.any(axis=1).all():
             raise ValueError("cannot accumulate an all-zero vector")
         row = _LABELS.index(label)
         own = slice(row, row + 1)
-        if self._counts[label] == 0 or self._cosines(vec[np.newaxis], own)[0, 0] < self.gate_threshold:
-            self._prototypes[row] += vec
-            self._counts[label] += 1
-        return self
+        before = self._counts[label]
+        for vec in vectors:
+            if self._counts[label] == 0 or self._cosines(vec[np.newaxis], own)[0, 0] < self.gate_threshold:
+                self._prototypes[row] += vec
+                self._counts[label] += 1
+        return self._counts[label] - before
 
     def similarities(self, vectors: np.ndarray) -> np.ndarray:
         """Cosines of each row of ``vectors`` to both prototypes, as (W, 2) float64.

@@ -111,8 +111,6 @@ def load_model(path) -> TrainedModel:
         raise ModelFormatError(f"{path}: missing or malformed header field ({exc})") from exc
     if fmt != 1:
         raise ModelFormatError(f"{path}: unsupported snapshot format {fmt!r}")
-    if tuple(s.channel for s in stats) != channels:
-        raise ModelFormatError(f"{path}: channel stats do not match channels {channels}")
     arrays, offset = [], 0
     for i, desc in enumerate(layout):
         name, shape = desc["name"], desc["shape"]
@@ -135,7 +133,15 @@ def load_model(path) -> TrainedModel:
         im = ItemMemory(channels, item)
         cim = ContinuousItemMemory(level)
         am = AssociativeMemory.from_state(proto_adhd, proto_control, counts, params.gate_threshold)
-        # The model rejects repeated or overlapping split ids.
+        # Each class must be able to score a window, or eval fails at the first.
+        for label in Label:
+            if not (counts[label] and am.prototype(label).any()):
+                raise ValueError(
+                    f"class {label} cannot score: bundle count {counts[label]}, "
+                    f"{'nonzero' if am.prototype(label).any() else 'all-zero'} prototype"
+                )
+        # The model rejects channel stats for other channels and repeated
+        # or overlapping split ids.
         model = TrainedModel(
             params=params,
             item_memory=im,

@@ -315,7 +315,7 @@ def test_criterion_8_error_handling(tmp_path):
     # Scoring against an associative memory with an empty prototype is rejected.
     am = AssociativeMemory(dimension=100)
     probe = hv.random_bipolar(1, 1, 100)[0]
-    am.update(probe, Label.ADHD)
+    am.offer(probe[np.newaxis], Label.ADHD)
     with pytest.raises(UntrainedMemoryError):
         am.similarities(probe[np.newaxis, :])
 

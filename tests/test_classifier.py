@@ -198,6 +198,27 @@ def test_train_rejects_repeated_or_overlapping_ids(
         train(recs, small_params, stats, train_ids=train_ids, test_ids=test_ids)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda stats: stats[::-1],
+        lambda stats: (stats[0], replace(stats[1], channel="Pz")),
+        lambda stats: stats[:1],
+    ],
+    ids=["reordered", "renamed", "missing"],
+)
+def test_channel_stats_must_name_the_model_channels(prepared, small_params, edit):
+    # A snapshot of such a model would not load.
+    _, _, stats, q = prepared
+    recs = pick(q, "adhd-001", "control-001")
+    bad = tuple(edit(tuple(stats)))
+    with pytest.raises(ValueError, match=r"channel stats do not match channels \('F4', 'Cz'\)"):
+        train(recs, small_params, bad)
+    model = train(recs, small_params, stats)
+    with pytest.raises(ValueError, match="channel stats do not match channels"):
+        replace(model, channel_stats=bad)
+
+
 # -------------------------------------------------------------- prediction
 
 

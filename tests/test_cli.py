@@ -407,6 +407,38 @@ def test_non_finite_gate_snapshot_is_data_error(dataset_dir, model_path, tmp_pat
     assert main(["inspect-model", "--model", str(bad)]) == EXIT_DATA
 
 
+def _zero_adhd_prototype(header, arrays):
+    arrays["prototype_adhd"][:] = 0
+
+
+UNSCORABLE_PROTOTYPES = {
+    "all_zero_prototype": (_zero_adhd_prototype, "class ADHD cannot score"),
+    "zero_bundle_count": (
+        lambda header, arrays: header["bundle_counts"].update(CONTROL=0),
+        "class CONTROL cannot score: bundle count 0",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "edit, reason", UNSCORABLE_PROTOTYPES.values(), ids=UNSCORABLE_PROTOTYPES.keys()
+)
+def test_snapshot_prototype_that_cannot_score_is_data_error(
+    dataset_dir, model_path, tmp_path, rewrite_snapshot, capsys, edit, reason
+):
+    bad = tmp_path / "prototype.bin"
+    rewrite_snapshot(model_path, bad, edit)
+    report = tmp_path / "r.json"
+    code = main(
+        ["eval", "--manifest", str(dataset_dir), "--model", str(bad), "--report", str(report)]
+    )
+    assert code == EXIT_DATA
+    assert reason in capsys.readouterr().err
+    assert not report.exists()
+    assert main(["inspect-model", "--model", str(bad)]) == EXIT_DATA
+    assert capsys.readouterr().out == ""
+
+
 def _set_stats(**fields):
     return lambda header, arrays: header["channel_stats"][1].update(fields)
 

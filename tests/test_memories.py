@@ -166,13 +166,13 @@ def test_cim_schedule_invariants(level_count, half_dim, seed):
 
 
 def _fill(am, vec, label):
-    return am.update(np.asarray(vec, dtype=np.int64), label)
+    return am.offer(np.asarray(vec, dtype=np.int64)[np.newaxis], label)
 
 
-def test_am_first_update_unconditional():
+def test_am_first_offer_unconditional():
     am = AssociativeMemory(4)
     f = np.array([1, -1, 1, 1], dtype=np.int64)
-    am.update(f, Label.ADHD)
+    am.offer(f[np.newaxis], Label.ADHD)
     assert np.array_equal(am.prototype(Label.ADHD), f)
     assert am.bundle_count(Label.ADHD) == 1
     assert am.bundle_count(Label.CONTROL) == 0
@@ -201,7 +201,7 @@ def test_am_gate_threshold_configurable():
     assert am.bundle_count(Label.ADHD) == 1
 
 
-def test_am_update_never_touches_other_class():
+def test_am_offer_never_touches_other_class():
     am = AssociativeMemory(4)
     _fill(am, [1, 1, 1, 1], Label.ADHD)
     _fill(am, [-1, -1, -1, -1], Label.CONTROL)
@@ -209,7 +209,7 @@ def test_am_update_never_touches_other_class():
     assert am.prototype(Label.CONTROL).tolist() == [-1, -1, -1, -1]
 
 
-def test_am_update_order_matters():
+def test_am_offer_order_matters():
     # The gate sees whatever accumulated so far, so the same multiset of
     # vectors can land differently depending on order.
     a = [1, 1, 1, 1]
@@ -224,19 +224,54 @@ def test_am_update_order_matters():
     assert second.prototype(Label.ADHD).tolist() == b
 
 
-def test_am_update_rejects_bad_vectors():
+def test_am_offer_rejects_bad_vectors():
     am = AssociativeMemory(4)
     with pytest.raises(ValueError):
-        am.update(np.zeros(4, dtype=np.int64), Label.ADHD)
+        am.offer(np.zeros((1, 4), dtype=np.int64), Label.ADHD)
     with pytest.raises(ValueError):
-        am.update(np.ones(5, dtype=np.int64), Label.ADHD)
+        am.offer(np.ones((1, 5), dtype=np.int64), Label.ADHD)
     with pytest.raises(ValueError):
-        am.update(np.ones(4, dtype=np.float64), Label.ADHD)
+        am.offer(np.ones((1, 4), dtype=np.float64), Label.ADHD)
 
 
-def test_am_update_returns_self():
+def test_am_offer_returns_admitted_count():
     am = AssociativeMemory(4)
-    assert am.update(np.ones(4, dtype=np.int64), Label.CONTROL) is am
+    assert am.offer(np.ones((1, 4), dtype=np.int64), Label.CONTROL) == 1
+    # The first row is admitted, its duplicate gated out (cosine 1.0), and
+    # the orthogonal row bundled (cosine 0.0).
+    rows = np.array([[1, 1, 1, 1], [1, 1, 1, 1], [1, -1, 1, -1]], dtype=np.int8)
+    assert am.offer(rows, Label.ADHD) == 2
+    assert am.offer(rows[:2], Label.CONTROL) == 0
+    assert am.offer(np.empty((0, 4), dtype=np.int8), Label.ADHD) == 0
+    assert (am.bundle_count(Label.ADHD), am.bundle_count(Label.CONTROL)) == (2, 1)
+
+
+_BAD_MATRICES = {
+    "zero_row_after_valid_rows": (
+        np.array([[1, 1, -1, 1], [1, -1, 1, -1], [0, 0, 0, 0]]),
+        "all-zero",
+    ),
+    "float_dtype": (np.array([[1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, 1.0]]), "integer"),
+    "wrong_width": (np.ones((2, 5), dtype=np.int64), "expected shape"),
+    "one_dimensional": (np.array([1, -1, -1, 1]), "expected shape"),
+}
+
+
+@pytest.mark.parametrize("label", [Label.ADHD, Label.CONTROL])
+@pytest.mark.parametrize("bad, match", _BAD_MATRICES.values(), ids=_BAD_MATRICES.keys())
+def test_am_offer_rejected_matrix_leaves_memory_unchanged(label, bad, match):
+    am = AssociativeMemory(4, gate_threshold=2.0)  # admits every valid row
+    _fill(am, [1, 1, 1, 1], Label.ADHD)
+    _fill(am, [-1, 1, -1, 1], Label.CONTROL)
+    labels = (Label.ADHD, Label.CONTROL)
+    before = [(am.prototype(lab).copy(), am.bundle_count(lab)) for lab in labels]
+    with pytest.raises(ValueError, match=match):
+        am.offer(bad, label)
+    for lab, (proto, count) in zip(labels, before):
+        assert np.array_equal(am.prototype(lab), proto)
+        assert am.bundle_count(lab) == count
+    # The memory still gates as before: a valid row after the rejection is admitted.
+    assert am.offer(np.array([[1, 1, -1, -1]]), label) == 1
 
 
 # The test_am_query_* tests keep their names; the memory now answers them
@@ -344,7 +379,7 @@ def test_am_gate_on_cancelled_prototype_errors():
     _fill(am, [1, 1, -1, -1], Label.ADHD)
     _fill(am, [-1, -1, 1, 1], Label.ADHD)
     with pytest.raises(UndefinedSimilarityError, match="cancelled"):
-        am.update(np.ones(4, dtype=np.int64), Label.ADHD)
+        _fill(am, [1, 1, 1, 1], Label.ADHD)
 
 
 def test_am_prototype_view_read_only():
@@ -358,10 +393,10 @@ def test_am_prototype_view_read_only():
 @given(st.lists(st.sampled_from([-1, 1]), min_size=8, max_size=8))
 def test_am_gate_idempotent_on_duplicates(vec):
     am = AssociativeMemory(8)
-    am.update(np.array(vec, dtype=np.int64), Label.ADHD)
+    _fill(am, vec, Label.ADHD)
     before = am.prototype(Label.ADHD).copy()
     for _ in range(3):
-        am.update(np.array(vec, dtype=np.int64), Label.ADHD)
+        _fill(am, vec, Label.ADHD)
     assert np.array_equal(am.prototype(Label.ADHD), before)
     assert am.bundle_count(Label.ADHD) == 1
 
@@ -369,8 +404,10 @@ def test_am_gate_idempotent_on_duplicates(vec):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(st.data())
 def test_am_similarities_and_gate_match_cosine_similarity(data):
-    # Updates and scoring calls interleave, so a float prototype cached
-    # before an admission and not refreshed after it would show here.
+    # Offers of 1-6 rows and scoring calls interleave, so a float prototype
+    # cached before an admission and not refreshed after it would show here,
+    # as would a gate that scored a matrix's rows against the prototype as
+    # it stood at the start of the call.
     dim = data.draw(st.integers(min_value=1, max_value=12), label="dim")
     gate = data.draw(st.sampled_from([-0.5, 0.0, 0.3, 0.5, 0.9, 2.0]), label="gate")
     dtype = data.draw(st.sampled_from([np.int8, np.int64]), label="dtype")
@@ -398,19 +435,26 @@ def test_am_similarities_and_gate_match_cosine_similarity(data):
                 assert sim_a.hex() == cosine_similarity(qi, pa).hex()
                 assert sim_c.hex() == cosine_similarity(qi, pc).hex()
             continue
-        label = step
-        v = np.array(data.draw(row), dtype=dtype)
-        before = am.prototype(label).copy()
+        label, other = step, Label.CONTROL if step is Label.ADHD else Label.ADHD
+        vs = np.array(data.draw(st.lists(row, min_size=1, max_size=6)), dtype=dtype)
+        before, other_before = am.prototype(label).copy(), am.prototype(other).copy()
         count = am.bundle_count(label)
-        if count == 0:
-            admit = True
-        else:
+        # Row-by-row oracle: each row meets the prototype the rows before it left.
+        proto, mask = before.copy(), []
+        for v in vs:
             try:
-                admit = cosine_similarity(v, before) < gate
+                admit = count + sum(mask) == 0 or cosine_similarity(v, proto) < gate
             except UndefinedSimilarityError:
                 with pytest.raises(UndefinedSimilarityError, match="cancelled"):
-                    am.update(v, label)
-                continue
-        am.update(v, label)
-        assert am.bundle_count(label) == count + admit
-        assert np.array_equal(am.prototype(label), before + v if admit else before)
+                    am.offer(vs, label)
+                break
+            mask.append(admit)
+            proto = proto + v if admit else proto
+        else:
+            assert am.offer(vs, label) == am.bundle_count(label) - count == sum(mask)
+        # A cancelled prototype stops the call at the row it cannot score;
+        # the rows before that one stay bundled.
+        admitted_rows = vs[: len(mask)][np.array(mask, dtype=bool)]
+        assert am.bundle_count(label) == count + len(admitted_rows)
+        assert np.array_equal(am.prototype(label), before + admitted_rows.sum(axis=0, dtype=np.int64))
+        assert np.array_equal(am.prototype(other), other_before)

@@ -261,6 +261,43 @@ def test_rejects_inconsistent_memory_state(trained, tmp_path, rewrite_snapshot, 
         load_model(bad)
 
 
+def _zero_prototype(name):
+    def edit(header, arrays):
+        arrays[name][:] = 0
+
+    return edit
+
+
+def _bundle_count(label, count):
+    return lambda header, arrays: header["bundle_counts"].update({label: count})
+
+
+def _untrained_control(header, arrays):
+    header["bundle_counts"]["CONTROL"] = 0
+    arrays["prototype_control"][:] = 0
+
+
+UNSCORABLE_PROTOTYPES = {
+    "all_zero_adhd": (_zero_prototype("prototype_adhd"), r"ADHD cannot score: bundle count [1-9]\d*, all-zero"),
+    "all_zero_control": (
+        _zero_prototype("prototype_control"),
+        r"CONTROL cannot score: bundle count [1-9]\d*, all-zero",
+    ),
+    "zero_count_adhd": (_bundle_count("ADHD", 0), "ADHD cannot score: bundle count 0, nonzero"),
+    "untrained_control": (_untrained_control, "CONTROL cannot score: bundle count 0, all-zero"),
+}
+
+
+@pytest.mark.parametrize(
+    "edit, match", UNSCORABLE_PROTOTYPES.values(), ids=UNSCORABLE_PROTOTYPES.keys()
+)
+def test_rejects_prototype_that_cannot_score(trained, tmp_path, rewrite_snapshot, edit, match):
+    bad = tmp_path / "bad.bin"
+    rewrite_snapshot(_saved(trained[0], tmp_path), bad, edit)
+    with pytest.raises(ModelFormatError, match=match):
+        load_model(bad)
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_model(tmp_path / "nope.bin")
