@@ -76,6 +76,9 @@ def _opt(parser, flag, *, type=str, default=None, help="", action=None, choices=
             default = type(raw)
         except (TypeError, ValueError):
             raise ValueError(f"{env_name}: cannot parse {raw!r}") from None
+        # argparse checks choices on the command line only, not on defaults.
+        if choices is not None and default not in choices:
+            raise ValueError(f"{env_name}: expected one of {', '.join(choices)}, got {raw!r}")
         required = False
     parser.add_argument(
         flag, type=type, default=default, help=help + note,

@@ -330,10 +330,10 @@ class SyntheticSpec:
                     f"{name} frequency {freq} Hz outside (0, {nyquist}] Hz "
                     "(post-downsample Nyquist at the default 8:1 factor)"
                 )
-        if self.amplitude_uv <= 0:
-            raise ValueError("amplitude must be positive")
-        if self.noise_std_uv < 0:
-            raise ValueError("noise std must be nonnegative")
+        if not 0 < self.amplitude_uv < math.inf:
+            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude_uv}")
+        if not 0 <= self.noise_std_uv < math.inf:
+            raise ValueError(f"noise std must be nonnegative and finite, got {self.noise_std_uv}")
         check_seed(self.seed)
 
 
@@ -360,13 +360,19 @@ def generate_synthetic(spec: SyntheticSpec):
             )
             rng = make_rng(derive_seed(spec.seed, f"synthetic:{pid}"))
             noise = rng.normal(0.0, spec.noise_std_uv, size=clean.shape)
+            # Samples near the float64 limit can overflow to +-inf, which every
+            # reader rejects: refuse them here, without an overflow warning.
+            with np.errstate(over="ignore"):
+                samples = clean + noise
+            if not np.isfinite(samples).all():
+                raise ValueError(f"{pid}: amplitude and noise std overflow float64 samples")
             entries.append(PatientEntry(id=pid, label=label, path=f"patients/{pid}.csv"))
             recordings.append(
                 EegRecording(
                     patient_id=pid,
                     label=label,
                     channels=spec.channels,
-                    samples=clean + noise,
+                    samples=samples,
                     sample_rate_hz=spec.sample_rate_hz,
                 )
             )

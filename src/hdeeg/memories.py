@@ -3,9 +3,9 @@
 ItemMemory maps channel names to fixed random bipolar vectors.
 ContinuousItemMemory maps quantization levels to bipolar vectors whose
 pairwise distance grows with level distance (a cumulative flip schedule).
-AssociativeMemory keeps one integer prototype accumulator per class and
-takes a patient's (W, D) window matrix whole: ``offer`` gates its rows
-in, ``similarities`` scores them as (W, 2) cosines (ADHD, CONTROL).
+AssociativeMemory keeps one integer-sum prototype per class and takes
+a patient's (W, D) window matrix whole: ``offer`` gates its rows in,
+``similarities`` scores them as (W, 2) cosines (ADHD, CONTROL).
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ class UntrainedMemoryError(RuntimeError):
     """Similarities were asked of an associative memory with an empty class prototype."""
 
 
-# Row order of the prototype accumulators and column order of similarities().
+# Row order of the prototypes and column order of similarities().
 _LABELS = (Label.ADHD, Label.CONTROL)
 
 
@@ -157,11 +157,11 @@ class ContinuousItemMemory:
 class AssociativeMemory:
     """Gated two-class prototype store.
 
-    Prototypes are int64 accumulators starting at zero.  The first vector
-    of a class is always accepted; afterwards a vector is bundled into its
-    class prototype only when its cosine similarity to that prototype is
-    below ``gate_threshold``, so near-duplicates do not pile up.  The other
-    class's prototype is never touched by an ``offer``.
+    A prototype is the integer sum of the vectors bundled into it, held in
+    float64 beside its norm.  The first vector of a class is always
+    accepted; afterwards a vector is bundled only when its cosine to its
+    class prototype is below ``gate_threshold``, so near-duplicates do not
+    pile up.  The other class's prototype is never touched by an ``offer``.
     """
 
     def __init__(self, dimension: int, gate_threshold: float = 0.5):
@@ -169,23 +169,23 @@ class AssociativeMemory:
             raise ValueError(f"dimension must be at least 1, got {dimension}")
         self._dimension = int(dimension)
         self.gate_threshold = float(gate_threshold)
-        # One accumulator row per class, in _LABELS order.
-        self._prototypes = np.zeros((len(_LABELS), self._dimension), dtype=hv.ACCUMULATOR_DTYPE)
+        # One prototype row and its norm per class, in _LABELS order.
+        self._prototypes = np.zeros((len(_LABELS), self._dimension))
+        self._norms = np.zeros(len(_LABELS))
         self._counts = {Label.ADHD: 0, Label.CONTROL: 0}
-        # Float copy of the prototypes and their norms, keyed by the bundle
-        # counts it was made at: every admission bumps a count, so equal
-        # counts mean equal prototypes.  The gate in offer() reuses it.
-        self._float_key, self._float = None, None
 
     @classmethod
     def from_state(cls, prototype_adhd, prototype_control, counts, gate_threshold):
-        """Rebuild a memory from serialized prototypes and bundle counts."""
+        """Rebuild a memory from serialized prototypes (components within +-2**53) and counts."""
         pa = np.asarray(prototype_adhd, dtype=hv.ACCUMULATOR_DTYPE)
         pc = np.asarray(prototype_control, dtype=hv.ACCUMULATOR_DTYPE)
         if pa.ndim != 1 or pa.shape != pc.shape:
             raise ValueError("prototypes must be equal-length 1-D vectors")
+        if any((p > 2**53).any() or (p < -(2**53)).any() for p in (pa, pc)):
+            raise ValueError("a prototype component lies beyond +-2**53, so float64 cannot hold it")
         am = cls(pa.shape[0], gate_threshold)
         am._prototypes[:] = (pa, pc)
+        am._norms[:] = np.sqrt(np.einsum("ij,ij->i", am._prototypes, am._prototypes))
         for label in _LABELS:
             n = int(counts[label])
             if n < 0:
@@ -198,10 +198,10 @@ class AssociativeMemory:
         return self._dimension
 
     def prototype(self, label: Label) -> np.ndarray:
-        """Read-only view of a class prototype accumulator."""
-        view = self._prototypes[_LABELS.index(Label(label))]
-        view.flags.writeable = False
-        return view
+        """Read-only int64 copy of a class prototype; later offers do not change it."""
+        copy = self._prototypes[_LABELS.index(Label(label))].astype(hv.ACCUMULATOR_DTYPE)
+        copy.flags.writeable = False
+        return copy
 
     def bundle_count(self, label: Label) -> int:
         return self._counts[Label(label)]
@@ -213,6 +213,8 @@ class AssociativeMemory:
         is bundled only when cosine(row, prototype so far) < gate_threshold.
         The matrix is checked before any row is bundled, so a rejected one
         leaves the memory as it was.  Returns how many rows were admitted.
+        Precondition: prototype components, squared norms and dot products
+        stay below 2**53 in magnitude, so the float64 sums are exact.
         """
         label = Label(label)
         vectors = np.asarray(vectors)
@@ -228,6 +230,7 @@ class AssociativeMemory:
         for vec in vectors:
             if self._counts[label] == 0 or self._cosines(vec[np.newaxis], own)[0, 0] < self.gate_threshold:
                 self._prototypes[row] += vec
+                self._norms[row] = np.sqrt(self._prototypes[row] @ self._prototypes[row])
                 self._counts[label] += 1
         return self._counts[label] - before
 
@@ -256,11 +259,7 @@ class AssociativeMemory:
         exactly in any order and each entry equals hv.cosine_similarity(q, p)
         bit for bit.
         """
-        key = tuple(self._counts.values())
-        if key != self._float_key:
-            pf = self._prototypes.astype(np.float64)
-            self._float_key, self._float = key, (pf, np.sqrt(np.einsum("ij,ij->i", pf, pf)))
-        pf, pn = (a[rows] for a in self._float)
+        pf, pn = self._prototypes[rows], self._norms[rows]
         qf = vectors.astype(np.float64)
         qn = np.sqrt(np.einsum("ij,ij->i", qf, qf))
         if not qn.all():

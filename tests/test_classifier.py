@@ -23,7 +23,10 @@ from hdeeg import (
     classify_patient,
     generate_synthetic,
     derive_seed,
+    encode_windows,
+    hv,
     incremental_sweep,
+    load_model,
     preprocess_recording,
     quantize,
     run_trial,
@@ -166,6 +169,29 @@ def test_train_is_deterministic(prepared, small_params):
         assert m1.memory.bundle_count(label) == m2.memory.bundle_count(label)
     assert np.array_equal(m1.item_memory.vectors, m2.item_memory.vectors)
     assert np.array_equal(m1.level_memory.vectors, m2.level_memory.vectors)
+
+
+def test_train_admitting_every_window_keeps_exact_sums(prepared, small_params, tmp_path):
+    # A gate above 1 admits every window, so each prototype is the plain sum
+    # of its class's encoded windows and every admission moves a norm; a
+    # norm taken before the add, or not at all, breaks the cosines.
+    _, _, stats, q = prepared
+    params = replace(small_params, gate_threshold=2.0)
+    recs = pick(q, "adhd-001", "control-001", "adhd-002", "control-002")
+    model = train(recs, params, stats)
+    encoded = [encode_windows(r, model.item_memory, model.level_memory, params.ngram_size) for r in recs]
+    for label in Label:
+        rows = np.concatenate([w for r, w in zip(recs, encoded) if r.label is label])
+        assert model.memory.bundle_count(label) == len(rows)
+        assert np.array_equal(model.memory.prototype(label), rows.sum(axis=0, dtype=np.int64))
+    protos = [model.memory.prototype(label) for label in (Label.ADHD, Label.CONTROL)]
+    for windows in encoded:
+        expected = [[hv.cosine_similarity(w, p) for p in protos] for w in windows]
+        assert model.memory.similarities(windows).tolist() == expected
+    first, again = tmp_path / "first.bin", tmp_path / "again.bin"
+    save_model(model, first)
+    save_model(load_model(first), again)
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_train_keeps_bookkeeping(prepared, small_params):

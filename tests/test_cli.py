@@ -84,6 +84,18 @@ def test_gen_synth_non_finite_rate_is_usage_error(tmp_path, rate):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--amplitude", "nan"], ["--amplitude", "inf"], ["--noise-std", "nan"], ["--noise-std", "inf"],
+     ["--amplitude", "1e308", "--noise-std", "1e308"]],
+    ids=["nan_amplitude", "inf_amplitude", "nan_noise", "inf_noise", "overflow"],
+)
+def test_gen_synth_unusable_signal_is_usage_error(tmp_path, flags):
+    out = tmp_path / "ds"
+    assert main(["gen-synth", "--out", str(out), "--patients", "2", *flags]) == EXIT_USAGE
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- preprocess
 
 
@@ -411,8 +423,13 @@ def _zero_adhd_prototype(header, arrays):
     arrays["prototype_adhd"][:] = 0
 
 
+def _huge_adhd_component(header, arrays):
+    arrays["prototype_adhd"][0] = 2**53 + 1
+
+
 UNSCORABLE_PROTOTYPES = {
     "all_zero_prototype": (_zero_adhd_prototype, "class ADHD cannot score"),
+    "component_beyond_float64": (_huge_adhd_component, "beyond +-2**53"),
     "zero_bundle_count": (
         lambda header, arrays: header["bundle_counts"].update(CONTROL=0),
         "class CONTROL cannot score: bundle count 0",
@@ -765,6 +782,16 @@ def test_unparseable_env_var_is_usage_error(dataset_dir, tmp_path, monkeypatch):
          *COUNTS]
     )
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_env_var_outside_choices_is_usage_error(tmp_path, monkeypatch, capsys, command):
+    # The manifest does not exist: the value is refused before any file is read.
+    monkeypatch.setenv("HDEEG_STATS_SCOPE", "bogus")
+    code = main([command, "--manifest", str(tmp_path / "missing"), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "HDEEG_STATS_SCOPE: expected one of train, all, got 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # -------------------------------------------------------------- entrypoints

@@ -660,6 +660,21 @@ def test_generate_synthetic_rejects_non_finite_rate(rate):
         generate_synthetic(SyntheticSpec(sample_rate_hz=rate))
 
 
+@pytest.mark.parametrize("field", ["amplitude_uv", "noise_std_uv"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_generate_synthetic_rejects_non_finite_amplitude_and_noise(field, value):
+    with pytest.raises(ValueError, match="must be .*finite"):
+        generate_synthetic(SyntheticSpec(patients_per_class=1, samples=64, **{field: value}))
+
+
+def test_generate_synthetic_refuses_samples_that_overflow():
+    # Finite parameters whose samples overflow float64; pytest turns an
+    # overflow RuntimeWarning into an error, so none may be raised either.
+    spec = SyntheticSpec(patients_per_class=1, samples=1536, amplitude_uv=1e308, noise_std_uv=1e308)
+    with pytest.raises(ValueError, match="adhd-001: amplitude and noise std overflow"):
+        generate_synthetic(spec)
+
+
 def test_generate_synthetic_noise_free_is_pure_tone():
     spec = SyntheticSpec(patients_per_class=1, samples=256, noise_std_uv=0.0)
     _, recs = generate_synthetic(spec)

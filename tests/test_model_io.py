@@ -246,12 +246,24 @@ def _no_channels(header, arrays):
     arrays["item_memory"] = arrays["item_memory"][:0]
 
 
+def _adhd_component(value):
+    def edit(header, arrays):
+        arrays["prototype_adhd"][0] = value
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (_negative_bundle_count, "negative bundle count"),
         (_duplicate_channels, "duplicate channel"),
         (_no_channels, "channel names must be nonempty"),
+        # Float64 would round these, so the file could not be saved back unchanged.
+        *(
+            pytest.param(_adhd_component(value), r"beyond \+-2\*\*53", id=f"prototype_component_{name}")
+            for name, value in [("above", 2**53 + 1), ("below", -(2**53) - 1), ("int64_min", np.iinfo(np.int64).min)]
+        ),
     ],
 )
 def test_rejects_inconsistent_memory_state(trained, tmp_path, rewrite_snapshot, edit, message):
@@ -296,6 +308,16 @@ def test_rejects_prototype_that_cannot_score(trained, tmp_path, rewrite_snapshot
     rewrite_snapshot(_saved(trained[0], tmp_path), bad, edit)
     with pytest.raises(ModelFormatError, match=match):
         load_model(bad)
+
+
+@pytest.mark.parametrize("value", [2**53, -(2**53)], ids=["max", "min"])
+def test_prototype_component_at_float64_limit_round_trips(trained, tmp_path, rewrite_snapshot, value):
+    edge, resaved = tmp_path / "edge.bin", tmp_path / "resaved.bin"
+    rewrite_snapshot(_saved(trained[0], tmp_path), edge, _adhd_component(value))
+    model = load_model(edge)
+    assert model.memory.prototype(Label.ADHD)[0] == value
+    save_model(model, resaved)
+    assert resaved.read_bytes() == edge.read_bytes()
 
 
 def test_missing_file_raises_oserror(tmp_path):
