@@ -11,7 +11,7 @@ half of its windows got the true label.
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -52,7 +52,11 @@ SPLIT_SEED_PURPOSE = "split"
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """Everything that fixes the pipeline apart from the data itself."""
+    """Everything that fixes the pipeline apart from the data itself.
+
+    Every value is checked when the record is built, so also at
+    ``dataclasses.replace``: a bad one raises ValueError.
+    """
 
     dimension: int = 10000
     level_count: int = 250
@@ -64,7 +68,7 @@ class PipelineParams:
     clip_high_pct: float = 99.5
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.dimension < 2 or self.dimension % 2 != 0:
             raise ValueError(f"dimension must be even and at least 2, got {self.dimension}")
         if self.level_count < 2:
@@ -110,21 +114,11 @@ class PipelineParams:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "dimension": int(self.dimension),
-            "level_count": int(self.level_count),
-            "ngram_size": int(self.ngram_size),
-            "drop_samples": int(self.drop_samples),
-            "downsample_factor": int(self.downsample_factor),
-            "gate_threshold": float(self.gate_threshold),
-            "clip_low_pct": float(self.clip_low_pct),
-            "clip_high_pct": float(self.clip_high_pct),
-            "seed": int(self.seed),
-        }
+        return {f.name: f.type(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineParams":
-        return cls(**{k: doc[k] for k in cls().to_dict()})
+        return cls(**{f.name: f.type(doc[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +243,6 @@ def train(
     must be present.  ``channel_stats`` is stored on the model so raw
     recordings can be preprocessed consistently later.
     """
-    params.validate()
     train_set = list(train_set)
     if not train_set:
         raise ValueError("training set is empty")
@@ -393,7 +386,6 @@ def run_trial(
     (default) clip and quantization statistics come from the training
     split only; "all" pools every manifest patient.
     """
-    params.validate()
     train_ids, test_ids = split(
         manifest, train_counts, test_counts, derive_seed(params.seed, SPLIT_SEED_PURPOSE)
     )
@@ -471,7 +463,6 @@ def incremental_sweep(
     ("all").  Returns per-k mean and population standard deviation across
     runs plus the raw per-run data.
     """
-    params.validate()
     check_seed(seed)
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")

@@ -3,7 +3,8 @@
 Subcommands: gen-synth, preprocess, train, eval, sweep, inspect-model.
 Every flag can also be set through an environment variable named
 HDEEG_<FLAG> (dashes as underscores, e.g. HDEEG_CLIP_LOW); explicit flags
-win over the environment.  Exit codes: 0 success, 2 usage or
+win over the environment, and a value the flag cannot take is an error
+only for a subcommand that has the flag.  Exit codes: 0 success, 2 usage or
 configuration error, 3 data validation error, 4 I/O error.
 """
 
@@ -52,38 +53,46 @@ _TRUTHY = {"1", "true", "yes", "on"}
 _FALSY = {"0", "false", "no", "off"}
 
 
-def _env_value(flag: str):
-    name = ENV_PREFIX + flag.lstrip("-").replace("-", "_").upper()
-    return name, os.environ.get(name)
+def _env_default(env_name, raw, *, type, choices, store_true):
+    """The default an HDEEG_* value sets; ValueError if the flag cannot take it."""
+    if store_true:
+        low = raw.strip().lower()
+        if low in _TRUTHY:
+            return True
+        if low in _FALSY:
+            return False
+        raise ValueError(f"{env_name}: expected a boolean, got {raw!r}")
+    try:
+        value = type(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"{env_name}: cannot parse {raw!r}") from None
+    # argparse checks choices on the command line only, not on defaults.
+    if choices is not None and value not in choices:
+        raise ValueError(f"{env_name}: expected one of {', '.join(choices)}, got {raw!r}")
+    return value
 
 
 def _opt(parser, flag, *, type=str, default=None, help="", action=None, choices=None, required=False):
-    env_name, raw = _env_value(flag)
-    note = f" [env {env_name}]"
-    if action == "store_true":
-        if raw is not None:
-            low = raw.strip().lower()
-            if low in _TRUTHY:
-                default = True
-            elif low in _FALSY:
-                default = False
-            else:
-                raise ValueError(f"{env_name}: expected a boolean, got {raw!r}")
-        parser.add_argument(flag, action="store_true", default=bool(default), help=help + note)
-        return
+    env_name = ENV_PREFIX + flag.lstrip("-").replace("-", "_").upper()
+    raw = os.environ.get(env_name)
     if raw is not None:
-        try:
-            default = type(raw)
-        except (TypeError, ValueError):
-            raise ValueError(f"{env_name}: cannot parse {raw!r}") from None
-        # argparse checks choices on the command line only, not on defaults.
-        if choices is not None and default not in choices:
-            raise ValueError(f"{env_name}: expected one of {', '.join(choices)}, got {raw!r}")
         required = False
-    parser.add_argument(
-        flag, type=type, default=default, help=help + note,
-        choices=choices, required=required,
-    )
+        try:
+            default = _env_default(
+                env_name, raw, type=type, choices=choices, store_true=action == "store_true"
+            )
+        except ValueError as exc:
+            # main reports the first bad value once this subcommand is chosen,
+            # so it does not stop the subcommands without the flag.
+            if parser.get_default("env_error") is None:
+                parser.set_defaults(env_error=str(exc))
+    help += f" [env {env_name}]"
+    if action == "store_true":
+        parser.add_argument(flag, action="store_true", default=bool(default), help=help)
+    else:
+        parser.add_argument(
+            flag, type=type, default=default, help=help, choices=choices, required=required,
+        )
 
 
 def _add_pipeline_options(parser):
@@ -100,7 +109,7 @@ def _add_pipeline_options(parser):
 
 
 def _params_from(args) -> PipelineParams:
-    params = PipelineParams(
+    return PipelineParams(
         dimension=args.dimension,
         level_count=args.levels,
         ngram_size=args.ngram,
@@ -111,8 +120,6 @@ def _params_from(args) -> PipelineParams:
         clip_high_pct=args.clip_high,
         seed=args.seed,
     )
-    params.validate()
-    return params
 
 
 def _counts(args):
@@ -154,11 +161,13 @@ def cmd_preprocess(args) -> int:
         params.check_length(rec, whole_windows=False)
     dropped = [drop_initial(rec, params.drop_samples) for rec in recordings]
     stats = compute_channel_stats(dropped, params.clip_low_pct, params.clip_high_pct)
+    # Every recording is conditioned before the first file is written, so
+    # a block that overflows leaves no output behind.
+    conditioned = [downsample_mean(clip(rec, stats), params.downsample_factor) for rec in dropped]
     out = Path(args.out)
-    for rec in dropped:
-        conditioned = downsample_mean(clip(rec, stats), params.downsample_factor)
-        levels = quantize(conditioned, stats, params.level_count).levels
-        write_csv(out / "signals" / f"{rec.patient_id}.csv", manifest.channels, conditioned.samples)
+    for rec in conditioned:
+        levels = quantize(rec, stats, params.level_count).levels
+        write_csv(out / "signals" / f"{rec.patient_id}.csv", manifest.channels, rec.samples)
         write_csv(out / "levels" / f"{rec.patient_id}.csv", manifest.channels, levels)
     _dump_json(
         out / "stats.json",
@@ -348,14 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
+    if getattr(args, "env_error", None):
+        print(f"error: {args.env_error}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (DataValidationError, ModelFormatError, UntrainedMemoryError) as exc:

@@ -301,7 +301,8 @@ class SyntheticSpec:
     """Recipe for a two-class sinusoid-plus-noise dataset.
 
     Class frequencies must stay below the Nyquist rate after the default
-    8:1 downsampling, i.e. under sample_rate_hz / 16.
+    8:1 downsampling, i.e. under sample_rate_hz / 16.  Every value is
+    checked when the spec is built: a bad one raises ValueError.
     """
 
     patients_per_class: int = 10
@@ -314,7 +315,7 @@ class SyntheticSpec:
     noise_std_uv: float = 10.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.patients_per_class < 1:
             raise ValueError("need at least one patient per class")
         if self.samples < 1:
@@ -344,7 +345,6 @@ def generate_synthetic(spec: SyntheticSpec):
     independent noise stream derived from the spec seed and its id, so the
     dataset is a pure function of the spec.  Returns (manifest, recordings).
     """
-    spec.validate()
     t = np.arange(spec.samples, dtype=np.float64) / spec.sample_rate_hz
     # Fixed per-channel phase offsets keep the channels distinct without
     # touching the class-defining frequency.

@@ -99,7 +99,6 @@ def load_model(path) -> TrainedModel:
     try:
         fmt = header["format"]
         params = PipelineParams.from_dict(header["params"])
-        params.validate()
         channels = tuple(str(c) for c in header["channels"])
         stats = tuple(ChannelStats.from_dict(s) for s in header["channel_stats"])
         counts = {label: int(header["bundle_counts"][str(label)]) for label in Label}

@@ -7,7 +7,7 @@ test data share one level scale.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -70,9 +70,10 @@ class ChannelStats:
     """Clip thresholds and quantization range for one channel.
 
     Every value must be finite, with clip_low <= clip_high and quant_min <
-    quant_max; otherwise DataValidationError naming the channel.  So a
-    channel that is constant over the statistics pool, whose range is one
-    point, cannot be quantized and is a data error.
+    quant_max, and quant_max - quant_min must be finite too; otherwise
+    DataValidationError naming the channel.  So a channel that is constant
+    over the statistics pool, whose range is one point, cannot be quantized
+    and is a data error, and so is one whose range is wider than float64.
     """
 
     channel: str
@@ -94,25 +95,18 @@ class ChannelStats:
                 f"channel {self.channel}: degenerate quantization range "
                 f"[{self.quant_min}, {self.quant_max}]"
             )
+        if not math.isfinite(float(self.quant_max) - float(self.quant_min)):
+            raise DataValidationError(
+                f"channel {self.channel}: quantization range "
+                f"[{self.quant_min}, {self.quant_max}] is wider than float64 holds"
+            )
 
     def to_dict(self) -> dict:
-        return {
-            "channel": self.channel,
-            "clip_low": float(self.clip_low),
-            "clip_high": float(self.clip_high),
-            "quant_min": float(self.quant_min),
-            "quant_max": float(self.quant_max),
-        }
+        return {f.name: f.type(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ChannelStats":
-        return cls(
-            channel=str(doc["channel"]),
-            clip_low=float(doc["clip_low"]),
-            clip_high=float(doc["clip_high"]),
-            quant_min=float(doc["quant_min"]),
-            quant_max=float(doc["quant_max"]),
-        )
+        return cls(**{f.name: f.type(doc[f.name]) for f in fields(cls)})
 
 
 def drop_initial(rec: EegRecording, drop_samples: int) -> EegRecording:
@@ -188,13 +182,24 @@ def clip(rec: EegRecording, stats) -> EegRecording:
 
 
 def downsample_mean(rec: EegRecording, factor: int) -> EegRecording:
-    """Average non-overlapping blocks of ``factor`` consecutive samples."""
+    """Average non-overlapping blocks of ``factor`` consecutive samples.
+
+    A block whose sum overflows float64 is a DataValidationError naming
+    the patient and channel.
+    """
     if factor < 1:
         raise ValueError(f"downsample factor must be at least 1, got {factor}")
     n, ch = rec.samples.shape
     if n % factor != 0:
         raise ValueError(f"{rec.patient_id}: {n} samples not divisible by factor {factor}")
-    out = rec.samples.reshape(n // factor, factor, ch).mean(axis=1)
+    with np.errstate(over="ignore"):
+        out = rec.samples.reshape(n // factor, factor, ch).mean(axis=1)
+    if not np.isfinite(out).all():
+        block, ci = np.argwhere(~np.isfinite(out))[0]
+        raise DataValidationError(
+            f"{rec.patient_id}: channel {rec.channels[ci]}: the sum of {factor}-sample "
+            f"block {int(block)} overflows float64"
+        )
     return replace(rec, samples=out, sample_rate_hz=rec.sample_rate_hz / factor)
 
 

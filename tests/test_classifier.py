@@ -1,7 +1,8 @@
 """Training, voting, metrics, trials, and the training-size sweep."""
 
+import json
 import statistics
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -84,19 +85,38 @@ def test_params_validate_rejects_bad_values():
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
-            PipelineParams(**kwargs).validate()
-    PipelineParams().validate()
+            PipelineParams(**kwargs)
+    PipelineParams()
 
 
 def test_params_dict_round_trip():
-    p = PipelineParams(dimension=4000, seed=17, gate_threshold=0.25)
+    p = PipelineParams(
+        dimension=4000, level_count=64, ngram_size=16, drop_samples=128, downsample_factor=4,
+        gate_threshold=0.25, clip_low_pct=1.0, clip_high_pct=98.0, seed=17,
+    )
+    default = PipelineParams()
+    assert all(getattr(p, f.name) != getattr(default, f.name) for f in fields(PipelineParams))
     assert PipelineParams.from_dict(p.to_dict()) == p
+
+
+def test_params_to_dict_gives_plain_numbers_for_numpy_scalars():
+    p = PipelineParams(
+        dimension=np.int64(4000), level_count=np.int32(64), ngram_size=np.int16(16),
+        drop_samples=np.uint32(128), downsample_factor=np.int8(4),
+        gate_threshold=np.float32(0.25), clip_low_pct=np.float64(1.0),
+        clip_high_pct=np.float16(98.0), seed=np.uint64(17),
+    )
+    doc = p.to_dict()
+    assert [type(v) for v in doc.values()] == [int] * 5 + [float] * 3 + [int]
+    assert json.dumps(doc, sort_keys=True) == json.dumps(
+        PipelineParams(4000, 64, 16, 128, 4, 0.25, 1.0, 98.0, 17).to_dict(), sort_keys=True
+    )
 
 
 @pytest.mark.parametrize("gate", [float("nan"), float("inf"), float("-inf")])
 def test_params_validate_rejects_non_finite_gate(gate):
     with pytest.raises(ValueError, match="gate threshold must be finite"):
-        PipelineParams(gate_threshold=gate).validate()
+        PipelineParams(gate_threshold=gate)
 
 
 @pytest.mark.parametrize(

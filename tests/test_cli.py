@@ -5,14 +5,14 @@ import json
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import hdeeg
 from hdeeg import classifier, load_dataset, load_model, write_dataset
-from hdeeg.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from hdeeg.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, _params_from, build_parser, main
 
 SMALL = ["--dimension", "2000", "--levels", "50", "--drop", "256", "--seed", "9"]
 COUNTS = [
@@ -519,6 +519,66 @@ def test_constant_channel_is_data_error(constant_channel_dataset, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def near_limit_datasets(tmp_path_factory):
+    """The module dataset's patients without noise, at amplitudes near the float64 limit."""
+    roots = {}
+    for amplitude in ("1e308", "5e307"):
+        roots[amplitude] = tmp_path_factory.mktemp(f"amplitude-{amplitude}")
+        code = main(
+            ["gen-synth", "--out", str(roots[amplitude]), "--patients", "4", "--samples", "1792",
+             "--seed", "21", "--amplitude", amplitude, "--noise-std", "0"]
+        )
+        assert code == EXIT_OK
+    return roots
+
+
+# 1e308: the clip range itself overflows; 5e307: only an 8-sample block sum does.
+NEAR_LIMIT_ERRORS = {
+    "1e308": "channel F4: quantization range [-1e+308, 1e+308] is wider than float64 holds",
+    "5e307": "channel F4: the sum of 8-sample block 0 overflows float64",
+}
+
+
+@pytest.mark.parametrize("amplitude", NEAR_LIMIT_ERRORS)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", *COUNTS],
+        ["sweep", "--test-size", "2", "--max-train", "3", "--runs", "1"],
+        ["preprocess"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_conditioning_that_overflows_is_data_error(
+    near_limit_datasets, tmp_path, capsys, argv, amplitude
+):
+    # pytest turns a RuntimeWarning into an error, so none may be raised.
+    out = tmp_path / "out"
+    code = main(
+        [argv[0], "--manifest", str(near_limit_datasets[amplitude]), "--out", str(out),
+         *argv[1:], *SMALL]
+    )
+    assert code == EXIT_DATA
+    assert NEAR_LIMIT_ERRORS[amplitude] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("amplitude", NEAR_LIMIT_ERRORS)
+def test_eval_clips_samples_near_float64_limit_to_the_model_range(
+    near_limit_datasets, model_path, tmp_path, amplitude
+):
+    # The model's channel stats come from ordinary data, and clipping comes
+    # before any arithmetic, so nothing overflows.
+    report = tmp_path / "r.json"
+    code = main(
+        ["eval", "--manifest", str(near_limit_datasets[amplitude]), "--model", str(model_path),
+         "--report", str(report)]
+    )
+    assert code == EXIT_OK
+    assert json.loads(report.read_text())["test_ids"] == list(load_model(model_path).test_ids)
+
+
 SPLIT_EDITS = {
     "repeated_test_id": (
         lambda header, arrays: header.update(test_ids=[header["test_ids"][0]] * 3),
@@ -792,6 +852,43 @@ def test_env_var_outside_choices_is_usage_error(tmp_path, monkeypatch, capsys, c
     assert code == EXIT_USAGE
     assert "HDEEG_STATS_SCOPE: expected one of train, all, got 'bogus'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "variable, value, command",
+    [
+        ("HDEEG_STATS_SCOPE", "bogus", "inspect-model"),
+        ("HDEEG_DIMENSION", "ten", "gen-synth"),
+        ("HDEEG_UNIFORM_TEST", "maybe", "eval"),
+    ],
+)
+def test_bad_env_var_leaves_subcommands_without_its_flag_alone(
+    dataset_dir, model_path, tmp_path, monkeypatch, variable, value, command
+):
+    argv = {
+        "inspect-model": ["--model", str(model_path)],
+        "gen-synth": ["--out", str(tmp_path / "ds"), "--patients", "1", "--samples", "64"],
+        "eval": ["--manifest", str(dataset_dir), "--model", str(model_path),
+                 "--report", str(tmp_path / "r.json")],
+    }[command]
+    monkeypatch.setenv(variable, value)
+    assert main([command, *argv]) == EXIT_OK
+
+
+def test_every_pipeline_flag_sets_its_field():
+    flags = [
+        "--dimension", "4000", "--levels", "64", "--ngram", "16", "--drop", "128",
+        "--downsample", "4", "--gate", "0.25", "--clip-low", "1.0", "--clip-high", "98.0",
+        "--seed", "17",
+    ]
+    expected = classifier.PipelineParams(
+        dimension=4000, level_count=64, ngram_size=16, drop_samples=128, downsample_factor=4,
+        gate_threshold=0.25, clip_low_pct=1.0, clip_high_pct=98.0, seed=17,
+    )
+    default = classifier.PipelineParams()
+    assert all(getattr(expected, f.name) != getattr(default, f.name) for f in fields(expected))
+    args = build_parser().parse_args(["train", "--manifest", "m", "--out", "o", *flags])
+    assert _params_from(args) == expected
 
 
 # -------------------------------------------------------------- entrypoints

@@ -1,6 +1,7 @@
 """Model snapshot format: exact round-trips and corruption handling."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -384,6 +385,22 @@ def test_rejects_non_finite_gate_threshold(trained, tmp_path, gate):
     _set_header(path, _set_param("gate_threshold", gate))
     with pytest.raises(ModelFormatError, match="gate threshold must be finite"):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"gate_threshold": float("nan")}, "gate threshold must be finite"),
+        ({"ngram_size": 0}, "ngram size must be at least 1"),
+        ({"clip_low_pct": 99.5, "clip_high_pct": 0.5}, "percentiles must satisfy"),
+    ],
+    ids=["nan_gate", "zero_ngram", "reversed_percentiles"],
+)
+def test_params_load_model_refuses_fail_at_replace(trained, change, match):
+    # No model can hold such params, so save_model cannot write a snapshot
+    # that load_model refuses for them.
+    with pytest.raises(ValueError, match=match):
+        replace(trained[0].params, **change)
 
 
 @pytest.fixture(scope="module")

@@ -124,11 +124,23 @@ NAN, INF = float("nan"), float("inf")
         ((5.0, -5.0, -5.0, 5.0), "clip range .* is reversed"),
         ((-5.0, 5.0, 2.0, 2.0), "degenerate quantization range"),
         ((-5.0, 5.0, 5.0, -5.0), "degenerate quantization range"),
+        # numpy scalars, which would warn on an overflowing subtraction.
+        (tuple(np.array([-1e308, 1e308, -1e308, 1e308])), "quantization range .* is wider than float64 holds"),
     ],
 )
 def test_channel_stats_reject_unusable_values(values, match):
     with pytest.raises(DataValidationError, match=f"channel Cz: {match}"):
         ChannelStats("Cz", *values)
+
+
+def test_channel_stats_dict_round_trip_plain_types():
+    stats = ChannelStats(np.str_("Cz"), *np.array([-7.25, 9.5, -3.0, 4.0]))
+    doc = stats.to_dict()
+    assert doc == {
+        "channel": "Cz", "clip_low": -7.25, "clip_high": 9.5, "quant_min": -3.0, "quant_max": 4.0,
+    }
+    assert [type(v) for v in doc.values()] == [str, float, float, float, float]
+    assert ChannelStats.from_dict(doc) == stats
 
 
 def test_channel_stats_allow_one_point_clip_range():
@@ -203,6 +215,22 @@ def test_downsample_requires_divisibility():
         downsample_mean(rec, 2)
     with pytest.raises(ValueError):
         downsample_mean(rec, 0)
+
+
+def test_downsample_block_sum_overflow_is_data_error():
+    rec = make_rec(np.column_stack([np.ones(16), np.r_[np.ones(8), np.full(8, 5e307)]]),
+                   channels=("F4", "Cz"))
+    with pytest.raises(DataValidationError, match="p1: channel Cz: the sum of 8-sample block 1 overflows"):
+        downsample_mean(rec, 8)
+
+
+def test_downsample_block_sum_near_float64_limit():
+    # 8 * 2e307 is still finite, so the block mean is the plain numpy mean.
+    data = np.full(16, 2e307)
+    data[8:] = -1.5e307
+    out = downsample_mean(make_rec(data), 8)
+    assert out.samples[:, 0].tolist() == [2e307, -1.5e307]
+    assert out.samples.tobytes() == data.reshape(2, 8, 1).mean(axis=1).tobytes()
 
 
 def test_downsample_identity_factor():
