@@ -113,6 +113,16 @@ class PipelineParams:
             f"({self.drop_samples} dropped, then {unit}); {fit} samples would fit"
         )
 
+    def preprocess(self, rec: EegRecording, stats) -> QuantizedRecording:
+        """preprocess_recording with these params' drop, factor and level count."""
+        return preprocess_recording(
+            rec,
+            stats,
+            drop_samples=self.drop_samples,
+            downsample_factor=self.downsample_factor,
+            level_count=self.level_count,
+        )
+
     def to_dict(self) -> dict:
         return {f.name: f.type(getattr(self, f.name)) for f in fields(self)}
 
@@ -358,16 +368,7 @@ def _prepare(manifest, recordings, train_ids, test_ids, params: PipelineParams, 
     pool_ids = train_ids if stats_scope == "train" else [p.id for p in manifest.patients]
     dropped = [drop_initial(by_id[i], params.drop_samples) for i in pool_ids]
     stats = compute_channel_stats(dropped, params.clip_low_pct, params.clip_high_pct)
-    quantized = [
-        preprocess_recording(
-            by_id[i],
-            stats,
-            drop_samples=params.drop_samples,
-            downsample_factor=params.downsample_factor,
-            level_count=params.level_count,
-        )
-        for i in (*train_ids, *test_ids)
-    ]
+    quantized = [params.preprocess(by_id[i], stats) for i in (*train_ids, *test_ids)]
     return stats, quantized[: len(train_ids)], quantized[len(train_ids):]
 
 

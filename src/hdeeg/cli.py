@@ -3,16 +3,17 @@
 Subcommands: gen-synth, preprocess, train, eval, sweep, inspect-model.
 Every flag can also be set through an environment variable named
 HDEEG_<FLAG> (dashes as underscores, e.g. HDEEG_CLIP_LOW); explicit flags
-win over the environment, and a value the flag cannot take is an error
-only for a subcommand that has the flag.  Exit codes: 0 success, 2 usage or
-configuration error, 3 data validation error, 4 I/O error.
+win over the environment, also over a value the flag cannot take, which is
+an error only for a subcommand that has the flag and only when the flag is
+not given.  Exit codes: 0 success, 2 usage or configuration error, 3 data
+validation error, 4 I/O error.
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .classifier import (
@@ -38,7 +39,6 @@ from .preprocess import (
     compute_channel_stats,
     downsample_mean,
     drop_initial,
-    preprocess_recording,
     quantize,
 )
 
@@ -72,8 +72,12 @@ def _env_default(env_name, raw, *, type, choices, store_true):
     return value
 
 
+def _dest(flag):
+    return flag.lstrip("-").replace("-", "_")
+
+
 def _opt(parser, flag, *, type=str, default=None, help="", action=None, choices=None, required=False):
-    env_name = ENV_PREFIX + flag.lstrip("-").replace("-", "_").upper()
+    env_name = ENV_PREFIX + _dest(flag).upper()
     raw = os.environ.get(env_name)
     if raw is not None:
         required = False
@@ -82,44 +86,54 @@ def _opt(parser, flag, *, type=str, default=None, help="", action=None, choices=
                 env_name, raw, type=type, choices=choices, store_true=action == "store_true"
             )
         except ValueError as exc:
-            # main reports the first bad value once this subcommand is chosen,
-            # so it does not stop the subcommands without the flag.
-            if parser.get_default("env_error") is None:
-                parser.set_defaults(env_error=str(exc))
+            # A bad value is only a default: the flag on the command line
+            # replaces it, else main reports it once this subcommand is chosen.
+            default = exc
     help += f" [env {env_name}]"
     if action == "store_true":
-        parser.add_argument(flag, action="store_true", default=bool(default), help=help)
+        parser.add_argument(flag, action="store_true", default=default, help=help)
     else:
         parser.add_argument(
             flag, type=type, default=default, help=help, choices=choices, required=required,
         )
 
 
-def _add_pipeline_options(parser):
-    d = PipelineParams()
-    _opt(parser, "--dimension", type=int, default=d.dimension, help="hypervector dimension")
-    _opt(parser, "--levels", type=int, default=d.level_count, help="quantization level count")
-    _opt(parser, "--ngram", type=int, default=d.ngram_size, help="window length in samples")
-    _opt(parser, "--drop", type=int, default=d.drop_samples, help="initial samples to drop")
-    _opt(parser, "--downsample", type=int, default=d.downsample_factor, help="block-average factor")
-    _opt(parser, "--gate", type=float, default=d.gate_threshold, help="prototype bundling gate threshold")
-    _opt(parser, "--clip-low", type=float, default=d.clip_low_pct, help="lower clip percentile")
-    _opt(parser, "--clip-high", type=float, default=d.clip_high_pct, help="upper clip percentile")
-    _opt(parser, "--seed", type=int, default=d.seed, help="root seed for all randomness")
+# (flag, field, help): each flag takes its type and default from the field.
+PIPELINE_FLAGS = (
+    ("--dimension", "dimension", "hypervector dimension"),
+    ("--levels", "level_count", "quantization level count"),
+    ("--ngram", "ngram_size", "window length in samples"),
+    ("--drop", "drop_samples", "initial samples to drop"),
+    ("--downsample", "downsample_factor", "block-average factor"),
+    ("--gate", "gate_threshold", "prototype bundling gate threshold"),
+    ("--clip-low", "clip_low_pct", "lower clip percentile"),
+    ("--clip-high", "clip_high_pct", "upper clip percentile"),
+    ("--seed", "seed", "root seed for all randomness"),
+)
+SYNTHETIC_FLAGS = (
+    ("--patients", "patients_per_class", "patients per class"),
+    ("--samples", "samples", "samples per recording"),
+    ("--rate", "sample_rate_hz", "sample rate in Hz"),
+    ("--freq-adhd", "freq_adhd_hz", "ADHD class frequency in Hz"),
+    ("--freq-control", "freq_control_hz", "control class frequency in Hz"),
+    ("--amplitude", "amplitude_uv", "sinusoid amplitude in microvolts"),
+    ("--noise-std", "noise_std_uv", "noise standard deviation in microvolts"),
+    ("--seed", "seed", "generator seed"),
+)
+
+
+def _add_record_options(parser, record, table):
+    by_name = {f.name: f for f in fields(record)}
+    for flag, name, help in table:
+        _opt(parser, flag, type=by_name[name].type, default=by_name[name].default, help=help)
+
+
+def _record_from(args, record, table):
+    return record(**{name: getattr(args, _dest(flag)) for flag, name, _ in table})
 
 
 def _params_from(args) -> PipelineParams:
-    return PipelineParams(
-        dimension=args.dimension,
-        level_count=args.levels,
-        ngram_size=args.ngram,
-        drop_samples=args.drop,
-        downsample_factor=args.downsample,
-        gate_threshold=args.gate,
-        clip_low_pct=args.clip_low,
-        clip_high_pct=args.clip_high,
-        seed=args.seed,
-    )
+    return _record_from(args, PipelineParams, PIPELINE_FLAGS)
 
 
 def _counts(args):
@@ -138,17 +152,7 @@ def _dump_json(path, tree) -> None:
 
 
 def cmd_gen_synth(args) -> int:
-    spec = SyntheticSpec(
-        patients_per_class=args.patients,
-        samples=args.samples,
-        sample_rate_hz=args.rate,
-        freq_adhd_hz=args.freq_adhd,
-        freq_control_hz=args.freq_control,
-        amplitude_uv=args.amplitude,
-        noise_std_uv=args.noise_std,
-        seed=args.seed,
-    )
-    manifest, recordings = generate_synthetic(spec)
+    manifest, recordings = generate_synthetic(_record_from(args, SyntheticSpec, SYNTHETIC_FLAGS))
     write_dataset(args.out, manifest, recordings)
     print(f"wrote {len(recordings)} patients to {args.out}")
     return EXIT_OK
@@ -228,16 +232,7 @@ def cmd_eval(args) -> int:
     # length rule passes for all of them or first fails for the first.
     model.params.check_length(replace(recordings[0], patient_id=manifest.patients[0].id))
     by_id = {rec.patient_id: rec for rec in recordings}
-    q_test = [
-        preprocess_recording(
-            by_id[i],
-            model.channel_stats,
-            drop_samples=model.params.drop_samples,
-            downsample_factor=model.params.downsample_factor,
-            level_count=model.params.level_count,
-        )
-        for i in model.test_ids
-    ]
+    q_test = [model.params.preprocess(by_id[i], model.channel_stats) for i in model.test_ids]
     report = evaluate(model, q_test)
     tree = {
         "dataset": manifest.name,
@@ -301,20 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synth", help="generate a synthetic two-class dataset")
     _opt(p, "--out", type=str, required=True, help="output dataset directory")
-    _opt(p, "--patients", type=int, default=SyntheticSpec().patients_per_class, help="patients per class")
-    _opt(p, "--samples", type=int, default=SyntheticSpec().samples, help="samples per recording")
-    _opt(p, "--rate", type=float, default=SyntheticSpec().sample_rate_hz, help="sample rate in Hz")
-    _opt(p, "--freq-adhd", type=float, default=SyntheticSpec().freq_adhd_hz, help="ADHD class frequency in Hz")
-    _opt(p, "--freq-control", type=float, default=SyntheticSpec().freq_control_hz, help="control class frequency in Hz")
-    _opt(p, "--amplitude", type=float, default=SyntheticSpec().amplitude_uv, help="sinusoid amplitude in microvolts")
-    _opt(p, "--noise-std", type=float, default=SyntheticSpec().noise_std_uv, help="noise standard deviation in microvolts")
-    _opt(p, "--seed", type=int, default=0, help="generator seed")
+    _add_record_options(p, SyntheticSpec, SYNTHETIC_FLAGS)
     p.set_defaults(func=cmd_gen_synth)
 
     p = sub.add_parser("preprocess", help="run the signal chain and emit plot-ready files")
     _opt(p, "--manifest", type=str, required=True, help="dataset directory or manifest path")
     _opt(p, "--out", type=str, required=True, help="output directory")
-    _add_pipeline_options(p)
+    _add_record_options(p, PipelineParams, PIPELINE_FLAGS)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="split a dataset, train, and save the model")
@@ -326,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     _opt(p, "--test-control", type=int, default=10, help="control patients held out for testing")
     _opt(p, "--stats-scope", type=str, default="train", choices=["train", "all"],
          help="recordings used for clip and quantization statistics")
-    _add_pipeline_options(p)
+    _add_record_options(p, PipelineParams, PIPELINE_FLAGS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a saved model on its held-out patients")
@@ -345,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
          help="sample the test set uniformly instead of stratified")
     _opt(p, "--stats-scope", type=str, default="train", choices=["train", "all"],
          help="recordings used for clip and quantization statistics")
-    _add_pipeline_options(p)
+    _add_record_options(p, PipelineParams, PIPELINE_FLAGS)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("inspect-model", help="print a model snapshot summary as JSON")
@@ -360,8 +348,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    if getattr(args, "env_error", None):
-        print(f"error: {args.env_error}", file=sys.stderr)
+    # vars keeps the flags in the order they were added.
+    bad = next((v for v in vars(args).values() if isinstance(v, ValueError)), None)
+    if bad is not None:
+        print(f"error: {bad}", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

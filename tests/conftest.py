@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,21 @@ import pytest
 
 from hdeeg import Label, PipelineParams, SyntheticSpec, generate_synthetic
 from hdeeg.model_io import MAGIC, _ARRAY_DTYPES
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _without_caller_env():
+    """Run the whole session without the shell's HDEEG_* variables.
+
+    They would preset CLI flags and so change pinned outputs.  Session
+    scope clears them before any module fixture runs a command;
+    HDEEG_CLINICAL_MANIFEST, which names data rather than a flag, stays.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        for name in list(os.environ):
+            if name.startswith("HDEEG_") and name != "HDEEG_CLINICAL_MANIFEST":
+                mp.delenv(name)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -144,6 +144,22 @@ def test_check_length_policy(small_params, samples, whole_windows, fit):
     assert str(info.value).endswith(f"; {fit} samples would fit")
 
 
+def test_params_preprocess_matches_preprocess_recording(small_dataset):
+    params = PipelineParams(drop_samples=256, downsample_factor=4, level_count=64)
+    default = PipelineParams()
+    assert all(
+        getattr(params, name) != getattr(default, name)
+        for name in ("drop_samples", "downsample_factor", "level_count")
+    )
+    _, recordings = small_dataset
+    stats = compute_channel_stats([drop_initial(r, 256) for r in recordings], 0.5, 99.5)
+    for rec in recordings:
+        expected = preprocess_recording(
+            rec, stats, drop_samples=256, downsample_factor=4, level_count=64
+        )
+        np.testing.assert_array_equal(params.preprocess(rec, stats).levels, expected.levels)
+
+
 def test_run_trial_rejects_partial_windows(small_params, small_counts):
     manifest, recordings = generate_synthetic(
         SyntheticSpec(patients_per_class=4, samples=1800, seed=21)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hdeeg
-from hdeeg import classifier, load_dataset, load_model, write_dataset
+from hdeeg import SyntheticSpec, classifier, cli, load_dataset, load_model, write_dataset
 from hdeeg.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, _params_from, build_parser, main
 
 SMALL = ["--dimension", "2000", "--levels", "50", "--drop", "256", "--seed", "9"]
@@ -873,6 +873,66 @@ def test_bad_env_var_leaves_subcommands_without_its_flag_alone(
     }[command]
     monkeypatch.setenv(variable, value)
     assert main([command, *argv]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "variable, value, argv",
+    [
+        ("HDEEG_DIMENSION", "ten", ["train", *COUNTS]),  # SMALL gives --dimension
+        ("HDEEG_STATS_SCOPE", "bogus", ["train", *COUNTS, "--stats-scope", "all"]),
+        ("HDEEG_UNIFORM_TEST", "maybe",
+         ["sweep", "--test-size", "2", "--max-train", "2", "--runs", "1", "--uniform-test"]),
+    ],
+)
+def test_explicit_flag_replaces_env_value_it_cannot_take(
+    dataset_dir, tmp_path, monkeypatch, variable, value, argv
+):
+    monkeypatch.setenv(variable, value)
+    out = tmp_path / "out"
+    code = main([argv[0], "--manifest", str(dataset_dir), "--out", str(out), *argv[1:], *SMALL])
+    assert code == EXIT_OK
+    if argv[0] == "train":
+        assert load_model(out).params.dimension == 2000
+
+
+def test_bad_env_value_without_its_flag_is_still_usage_error(
+    dataset_dir, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv("HDEEG_DIMENSION", "ten")
+    monkeypatch.setenv("HDEEG_GATE", "wide")
+    out = tmp_path / "m.bin"
+    code = main(["train", "--manifest", str(dataset_dir), "--out", str(out), *COUNTS, *SMALL])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "HDEEG_GATE: cannot parse 'wide'" in err
+    assert "HDEEG_DIMENSION" not in err
+    assert not out.exists()
+
+
+def test_every_gen_synth_flag_sets_its_field(tmp_path, monkeypatch):
+    flags = [
+        "--patients", "3", "--samples", "640", "--rate", "128.0", "--freq-adhd", "4.0",
+        "--freq-control", "7.0", "--amplitude", "20.0", "--noise-std", "2.5", "--seed", "17",
+    ]
+    expected = SyntheticSpec(
+        patients_per_class=3, samples=640, sample_rate_hz=128.0, freq_adhd_hz=4.0,
+        freq_control_hz=7.0, amplitude_uv=20.0, noise_std_uv=2.5, seed=17,
+    )
+    default = SyntheticSpec()
+    # channels has no flag.
+    assert all(
+        getattr(expected, f.name) != getattr(default, f.name)
+        for f in fields(expected) if f.name != "channels"
+    )
+    specs = []
+
+    def capture(spec):
+        specs.append(spec)
+        return hdeeg.generate_synthetic(spec)
+
+    monkeypatch.setattr(cli, "generate_synthetic", capture)
+    assert main(["gen-synth", "--out", str(tmp_path / "ds"), *flags]) == EXIT_OK
+    assert specs == [expected]
 
 
 def test_every_pipeline_flag_sets_its_field():
