@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
+# Rows formatted per write: enough to keep the per-call cost small, few
+# enough that a block's text stays near 40 KB.
+_CSV_BLOCK_ROWS = 1024
 _JSON_TYPES = {str: "string", list: "list"}
 
 
@@ -184,13 +187,18 @@ def _parse_rows(rows, patient: PatientEntry, channels) -> np.ndarray:
             pass
     if samples is None or samples.shape != (len(rows), len(channels)):
         samples = _scan_rows(rows, patient, channels)
+    _check_finite(patient.id, samples, channels)
+    return samples
+
+
+def _check_finite(patient_id: str, samples: np.ndarray, channels) -> None:
+    """DataValidationError naming the first non-finite sample, if any."""
     bad = np.argwhere(~np.isfinite(samples))
     if bad.size:
         r, c = bad[0]
         raise DataValidationError(
-            f"{patient.id}: non-finite value at sample {int(r)}, channel {channels[int(c)]}"
+            f"{patient_id}: non-finite value at sample {int(r)}, channel {channels[int(c)]}"
         )
-    return samples
 
 
 def _scan_rows(rows, patient: PatientEntry, channels) -> np.ndarray:
@@ -261,12 +269,25 @@ def load_dataset(path, ids=None):
 
 
 def write_dataset(root, manifest: DatasetManifest, recordings) -> None:
-    """Write a dataset directory in the load_dataset format (repr floats)."""
+    """Write a dataset directory in the load_dataset format (repr floats).
+
+    Every recording is checked before anything is written: each manifest
+    patient needs one, with the manifest's channels in its order and only
+    finite samples, so whatever is written loads back as it was given.
+    """
     root = Path(root)
     by_id = {rec.patient_id: rec for rec in recordings}
     missing = [p.id for p in manifest.patients if p.id not in by_id]
     if missing:
         raise DataValidationError(f"no recording supplied for manifest patient(s) {missing}")
+    for patient in manifest.patients:
+        rec = by_id[patient.id]
+        if rec.channels != manifest.channels:
+            raise DataValidationError(
+                f"{patient.id}: recording channels {rec.channels} do not match "
+                f"manifest channels {manifest.channels}"
+            )
+        _check_finite(patient.id, rec.samples, rec.channels)
     root.mkdir(parents=True, exist_ok=True)
     doc = {
         "name": manifest.name,
@@ -286,14 +307,26 @@ def write_dataset(root, manifest: DatasetManifest, recordings) -> None:
 def write_csv(path, channels, values) -> None:
     """Header row of channel names, then one row of ``values`` per sample.
 
+    ``values`` must be 2-D with one column per channel, else ValueError.
     Values are written with repr, so floats round-trip exactly and integer
-    levels print as plain integers.  Parent directories are created.
+    levels print as plain integers.  The file is streamed in blocks of
+    ``_CSV_BLOCK_ROWS`` rows, each formatted by one ``%`` call, so the
+    text in memory at once is one block's.  Parent directories are created.
     """
+    values = np.asarray(values)
+    if values.ndim != 2 or values.shape[1] != len(channels):
+        raise ValueError(
+            f"values must be (rows, {len(channels)}) for channels {tuple(channels)}, "
+            f"got {values.shape}"
+        )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(channels)]
-    lines.extend(",".join(map(repr, row.tolist())) for row in values)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row = ",".join(["%r"] * len(channels)) + "\n"
+    with path.open("w", encoding="utf-8") as f:
+        f.write(",".join(channels) + "\n")
+        for start in range(0, len(values), _CSV_BLOCK_ROWS):
+            block = values[start : start + _CSV_BLOCK_ROWS]
+            f.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,13 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hdeeg
@@ -27,6 +28,8 @@ from hdeeg import (
     split,
     write_dataset,
 )
+from hdeeg.dataio import _CSV_BLOCK_ROWS as _BLOCK
+from hdeeg.dataio import write_csv
 
 
 def tiny_manifest(n_per_class=2, channels=("F4", "Cz")):
@@ -328,6 +331,88 @@ def test_write_dataset_requires_all_recordings(tmp_path):
     m = tiny_manifest()
     with pytest.raises(DataValidationError, match="a1"):
         write_dataset(tmp_path, m, tiny_recordings(m)[:1])
+
+
+def test_write_dataset_refuses_channels_out_of_manifest_order(tmp_path):
+    m = tiny_manifest()
+    recs = tiny_recordings(m)
+    recs[1] = replace(recs[1], channels=("Cz", "F4"))
+    with pytest.raises(DataValidationError, match=r"a1: recording channels \('Cz', 'F4'\)"):
+        write_dataset(tmp_path / "ds", m, recs)
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_write_dataset_refuses_non_finite_samples(tmp_path, value):
+    m = tiny_manifest()
+    recs = tiny_recordings(m)
+    recs[2].samples[5, 1] = value
+    with pytest.raises(DataValidationError, match="c0: non-finite value at sample 5, channel Cz"):
+        write_dataset(tmp_path / "ds", m, recs)
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 1), (3,), (3, 2, 1)])
+def test_write_csv_needs_one_column_per_channel(tmp_path, shape):
+    with pytest.raises(ValueError, match=r"values must be \(rows, 2\)"):
+        write_csv(tmp_path / "x.csv", ("F4", "Cz"), np.zeros(shape))
+    assert not (tmp_path / "x.csv").exists()
+
+
+def oracle_csv_text(channels, values) -> str:
+    """The text write_csv gave when it joined one repr per value, row by row."""
+    lines = [",".join(channels)]
+    lines.extend(",".join(map(repr, row.tolist())) for row in values)
+    return "\n".join(lines) + "\n"
+
+
+# Values where repr changes form: signed zero, subnormals, the switches to
+# exponent notation below 1e-4 and from 1e16, and the float64 extremes.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-05, 9.999e-05,
+                0.0001, 1e16, 9999999999999998.0, -1e16, 1.7976931348623157e308, 0.1, -1.5]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(pool=_EDGE_FLOATS, integers=False, n_channels=2, n_rows=_BLOCK + 1, seed=0)
+@example(pool=[0.0, 17.0, 249.0], integers=True, n_channels=2, n_rows=_BLOCK - 1, seed=1)
+@example(pool=[-0.0], integers=False, n_channels=1, n_rows=0, seed=0)
+@given(
+    pool=st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False)),
+                  min_size=1, max_size=12),
+    integers=st.booleans(),
+    n_channels=st.integers(1, 3),
+    n_rows=st.sampled_from([0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_write_csv_matches_row_join_oracle(tmp_path_factory, pool, integers, n_channels,
+                                           n_rows, seed):
+    # Rows are drawn from a small pool of values so block-sized files stay
+    # cheap to generate; int64 stands for quantized levels.
+    values = np.array(pool)
+    if integers:
+        values = np.clip(np.nan_to_num(values), -2.0**62, 2.0**62).astype(np.int64)
+    pick = np.random.default_rng(seed).integers(len(values), size=(n_rows, n_channels))
+    values = values[pick]
+    channels = ("F4", "Cz", "Pz")[:n_channels]
+    path = tmp_path_factory.getbasetemp() / "oracle" / "p.csv"
+    write_csv(path, channels, values)
+    assert path.read_bytes() == oracle_csv_text(channels, values).encode("utf-8")
+
+
+def test_write_csv_transient_memory_is_one_block(tmp_path):
+    # A whole paper-scale file as one string, or one string per row, peaks
+    # near 1.3 MiB; the bench writes its dataset in the measured process.
+    values = np.random.default_rng(0).normal(0, 30, size=(7680, 2))
+    path = tmp_path / "p.csv"
+    write_csv(path, ("F4", "Cz"), values)
+    tracemalloc.start()
+    try:
+        write_csv(path, ("F4", "Cz"), values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 # ------------------------------------------------------------- csv errors
