@@ -20,6 +20,10 @@ it reads e from bit t: byte t // 8 of a copy of the packed row shifted
 left by t % 8 bits.  The eight shifted copies of every level's packed
 row, 8 x levels x (m // 8 + ceil(D / 64) * 8) bytes (about 2.4 MiB at
 D = 10,000, 250 levels, n = 32), are built once per level memory and n.
+The extended rows are gathered and packed _LEVEL_BLOCK = 16 levels at a
+time, so beyond the packed rows the build holds two unpacked blocks of
+16 x 8 x (m // 8 + ceil(D / 64) * 8 + 1) bytes (about 160 KiB each at
+that scale), not two unpacked copies of every level.
 """
 
 import numpy as np
@@ -28,6 +32,9 @@ from .memories import ContinuousItemMemory, ItemMemory
 from .preprocess import QuantizedRecording
 
 __all__ = ["encode_windows"]
+
+# Levels whose extended rows are gathered and packed at a time.
+_LEVEL_BLOCK = 16
 
 
 def _row_bytes(dimension: int) -> int:
@@ -45,8 +52,10 @@ def _level_table(cim: ContinuousItemMemory, ngram_size: int) -> np.ndarray:
     width = m // 8 + _row_bytes(d)
     # One spare byte per row feeds the last byte of each shifted copy.
     extended = (np.arange(8 * (width + 1)) - m) % d
-    packed = np.packbits((cim.vectors < 0)[:, extended].reshape(-1))
-    packed = packed.reshape(cim.level_count, width + 1)
+    packed = np.empty((cim.level_count, width + 1), dtype=np.uint8)
+    for k in range(0, cim.level_count, _LEVEL_BLOCK):
+        block = np.take(cim.vectors[k : k + _LEVEL_BLOCK], extended, axis=1)
+        packed[k : k + len(block)] = np.packbits(block < 0, axis=-1)
     table = np.empty((8, cim.level_count, width), dtype=np.uint8)
     table[0] = packed[:, :-1]
     for r in range(1, 8):

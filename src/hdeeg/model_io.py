@@ -71,17 +71,26 @@ def _header_line(model: TrainedModel) -> bytes:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    """Write the snapshot; byte-identical for identical models."""
-    arrays = (
+    """Write the snapshot, creating its directory; byte-identical for
+    identical models.  Each array's buffer is written as it is, so the
+    int8 memories are not copied."""
+    line = _header_line(model)
+    sources = (
         model.item_memory.vectors,
         model.level_memory.vectors,
         model.memory.prototype(Label.ADHD),
         model.memory.prototype(Label.CONTROL),
     )
-    blob = bytearray(MAGIC) + _header_line(model) + b"\n"
-    for desc, arr in zip(_layout(model.params, len(model.channels)), arrays):
-        blob += np.ascontiguousarray(arr, dtype=_ARRAY_DTYPES[desc["dtype"]]).tobytes()
-    Path(path).write_bytes(bytes(blob))
+    arrays = [
+        np.ascontiguousarray(arr, dtype=_ARRAY_DTYPES[desc["dtype"]])
+        for desc, arr in zip(_layout(model.params, len(model.channels)), sources)
+    ]
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("wb") as f:
+        f.write(MAGIC + line + b"\n")
+        for arr in arrays:
+            f.write(arr.data)
 
 
 def load_model(path) -> TrainedModel:
@@ -89,9 +98,11 @@ def load_model(path) -> TrainedModel:
     data = Path(path).read_bytes()
     if not data.startswith(MAGIC):
         raise ModelFormatError(f"{path}: not a model snapshot (bad magic)")
-    line, newline, payload = data[len(MAGIC):].partition(b"\n")
-    if not newline:
+    # The header line is copied out; the payload is read in place.
+    end = data.find(b"\n", len(MAGIC))
+    if end < 0:
         raise ModelFormatError(f"{path}: truncated header")
+    line, payload = data[len(MAGIC) : end], memoryview(data)[end + 1 :]
     try:
         header = json.loads(line.decode("utf-8"))
     except (ValueError, RecursionError) as exc:

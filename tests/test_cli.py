@@ -207,6 +207,14 @@ def test_train_rerun_is_byte_identical(dataset_dir, model_path, tmp_path):
     assert again.read_bytes() == model_path.read_bytes()
 
 
+def test_train_creates_the_output_directory(dataset_dir, model_path, tmp_path):
+    out = tmp_path / "new" / "dir" / "model.bin"
+    code = main(["train", "--manifest", str(dataset_dir), "--out", str(out), *COUNTS, *SMALL])
+    assert code == EXIT_OK
+    assert load_model(out).train_ids == load_model(model_path).train_ids
+    assert out.read_bytes() == model_path.read_bytes()
+
+
 def test_train_zero_train_count_is_usage_error(dataset_dir, tmp_path):
     code = main(
         ["train", "--manifest", str(dataset_dir), "--out", str(tmp_path / "m.bin"),

@@ -1,5 +1,7 @@
 """Spatio-temporal encoder against an independent scalar oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,7 @@ from hdeeg import (
     hamming_distance,
     permute,
 )
-from hdeeg.encoder import _level_table
+from hdeeg.encoder import _LEVEL_BLOCK, _level_table
 
 # ----------------------------------------------------------------- oracle
 # Pure-Python re-derivation: sample t of n (1-based) contributes its level
@@ -292,14 +294,15 @@ def test_encoder_oracle_equivalence_small():
 # encode_windows XORs packed sign bits.  These cases reach every width and
 # offset it handles: D not a multiple of 8 or 64 (padding bits), n below,
 # at and across byte boundaries and beyond D (rotations that wrap more than
-# once), several channels, and every level dtype the indexing sees.
+# once), several channels, every level dtype the indexing sees, and level
+# counts on both sides of the table's level blocks.
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(
     dim=st.sampled_from([2, 10, 66, 1002]),
     ngram=st.sampled_from([1, 7, 8, 9, 33, 65]),
-    level_count=st.integers(min_value=2, max_value=6),
+    level_count=st.integers(min_value=2, max_value=2 * _LEVEL_BLOCK + 1),
     channels=st.integers(min_value=1, max_value=3),
     windows=st.integers(min_value=1, max_value=3),
     dtype=st.sampled_from([np.uint8, np.int16, np.int64]),
@@ -308,6 +311,10 @@ def test_encoder_oracle_equivalence_small():
 @example(dim=2, ngram=65, level_count=3, channels=2, windows=2, dtype=np.uint8, seed=0)
 @example(dim=10, ngram=33, level_count=6, channels=3, windows=1, dtype=np.int16, seed=1)
 @example(dim=1002, ngram=8, level_count=2, channels=1, windows=3, dtype=np.int64, seed=2)
+@example(dim=66, ngram=9, level_count=_LEVEL_BLOCK - 1, channels=2, windows=2, dtype=np.uint8, seed=3)
+@example(dim=10, ngram=65, level_count=_LEVEL_BLOCK, channels=1, windows=2, dtype=np.int16, seed=4)
+@example(dim=1002, ngram=33, level_count=_LEVEL_BLOCK + 1, channels=2, windows=1, dtype=np.int64, seed=5)
+@example(dim=66, ngram=7, level_count=2 * _LEVEL_BLOCK + 1, channels=3, windows=3, dtype=np.uint8, seed=6)
 def test_packed_kernel_matches_scalar_oracle(
     dim, ngram, level_count, channels, windows, dtype, seed
 ):
@@ -391,3 +398,18 @@ def test_level_table_size_at_paper_defaults():
     assert table.shape == (8, 250, 3 + 1256)
     assert table.dtype == np.uint8
     assert table.nbytes == 2_518_000
+
+
+def test_level_table_build_adds_under_one_mib_beyond_the_table():
+    # Packing every level's extended rows at once holds two unpacked
+    # copies of them, about 2.5 MB at paper scale, beside the table.
+    cim = ContinuousItemMemory.build(250, seed=0, dimension=10000)
+    # Warm up on a twin, so the traced build is not served from the cache.
+    _level_table(ContinuousItemMemory(cim.vectors), 32)
+    tracemalloc.start()
+    try:
+        table = _level_table(cim, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - table.nbytes < 1024 * 1024

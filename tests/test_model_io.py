@@ -1,6 +1,7 @@
 """Model snapshot format: exact round-trips and corruption handling."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -82,6 +83,43 @@ def test_save_load_save_is_byte_identical(trained, tmp_path):
     save_model(model, a)
     save_model(load_model(a), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def paper_scale_snapshot(small_dataset, small_params, small_counts, tmp_path_factory):
+    """A model with paper-scale memories (D = 10,000, 250 levels), saved."""
+    manifest, recordings = small_dataset
+    params = replace(small_params, dimension=10_000, level_count=250)
+    model, _ = run_trial(manifest, recordings, params, *small_counts)
+    path = tmp_path_factory.mktemp("paper") / "model.bin"
+    save_model(model, path)
+    return model, path
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_model_peak_is_below_the_snapshot_size(paper_scale_snapshot, tmp_path):
+    # The arrays are written from their own buffers; building the file as
+    # one blob holds it two or three times over.
+    model, path = paper_scale_snapshot
+    peak = _traced_peak(lambda: save_model(model, tmp_path / "again.bin"))
+    assert peak < path.stat().st_size
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+def test_load_model_peak_is_below_two_and_a_half_snapshots(paper_scale_snapshot):
+    # The file's bytes plus the memories' own copies of their arrays; a
+    # copy of the payload on top of that reaches three times the size.
+    _, path = paper_scale_snapshot
+    peak = _traced_peak(lambda: load_model(path))
+    assert peak < 2.5 * path.stat().st_size
 
 
 def test_rejects_bad_magic(tmp_path):
