@@ -419,20 +419,21 @@ class SweepResult:
     runs: tuple
 
 
-def _sweep_accuracy(am: AssociativeMemory, q_test, test_encodings) -> float:
+def _sweep_accuracy(am: AssociativeMemory, q_test, test_encodings, test_norms) -> float:
     """Patient accuracy that tolerates a single-class memory.
 
     While one prototype is still empty, every window counts as the trained
     class (an empty prototype loses every comparison), which keeps sweep
     rows for tiny training prefixes well defined.  Otherwise this is the
-    accuracy of summarize() over the held-out patients.
+    accuracy of summarize() over the held-out patients, scored with their
+    window norms from ``test_norms``, which stay fixed for the whole run.
     """
     trained = [label for label in (Label.ADHD, Label.CONTROL) if am.bundle_count(label) > 0]
     if len(trained) == 1:
         return 100.0 * sum(1 for q in q_test if q.label is trained[0]) / len(q_test)
     return summarize(
-        _prediction(q.patient_id, q.label, am.similarities(vectors))
-        for q, vectors in zip(q_test, test_encodings)
+        _prediction(q.patient_id, q.label, am._similarities(vectors, norms))
+        for q, vectors, norms in zip(q_test, test_encodings, test_norms)
     ).accuracy_pct
 
 
@@ -497,12 +498,13 @@ def incremental_sweep(
         )
         im, cim = build_memories(params_r, manifest.channels)
         test_encodings = [encode_windows(q, im, cim, params_r.ngram_size) for q in q_test]
+        test_norms = [AssociativeMemory._window_norms(vectors) for vectors in test_encodings]
         am = AssociativeMemory(params_r.dimension, params_r.gate_threshold)
         accuracies = []
         for q in q_train:
             # The first patient always admits its first window.
             if am.offer(encode_windows(q, im, cim, params_r.ngram_size), q.label) > 0:
-                accuracy = _sweep_accuracy(am, q_test, test_encodings)
+                accuracy = _sweep_accuracy(am, q_test, test_encodings, test_norms)
             accuracies.append(accuracy)
         return SweepRun(
             run_seed=run_seed,

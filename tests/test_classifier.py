@@ -683,14 +683,14 @@ def test_sweep_scores_only_after_the_memory_changed(
     params = small_params if gate is None else replace(small_params, gate_threshold=gate)
     raw = {r.patient_id: r for r in recordings}
     queries = 0
-    real_similarities = AssociativeMemory.similarities
+    real_similarities = AssociativeMemory._similarities
 
-    def counting_similarities(self, vectors):
+    def counting_similarities(self, vectors, norms):
         nonlocal queries
         queries += len(vectors)
-        return real_similarities(self, vectors)
+        return real_similarities(self, vectors, norms)
 
-    monkeypatch.setattr(AssociativeMemory, "similarities", counting_similarities)
+    monkeypatch.setattr(AssociativeMemory, "_similarities", counting_similarities)
     result = incremental_sweep(
         manifest, recordings, test_size=2, max_train=6, runs=3, seed=5, params=params
     )

@@ -804,6 +804,19 @@ def test_sweep_writes_csv(dataset_dir, tmp_path):
     assert again.read_text() == out.read_text()
 
 
+def test_sweep_table_admitting_every_window_is_pinned(dataset_dir, tmp_path):
+    # At gate 2.0 every window is admitted, so the held-out patients are
+    # re-scored after every training patient; criterion 7 pins the default gate.
+    out = tmp_path / "sweep.csv"
+    argv = [
+        "sweep", "--manifest", str(dataset_dir), "--out", str(out),
+        "--test-size", "2", "--max-train", "6", "--runs", "3", "--gate", "2.0", *SMALL,
+    ]
+    assert main(argv) == EXIT_OK
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "07f45062159f2b33b60b2145323778bdfe63c63d0b4b1f1f8c4fddade2b5d037"
+
+
 # ----------------------------------------------------------- inspect-model
 
 

@@ -1,0 +1,33 @@
+"""README examples run as written and its notes match the code."""
+
+import re
+from pathlib import Path
+
+from hdeeg.classifier import EvalReport, SweepResult
+from hdeeg.memories import _SCORE_ROWS
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _section(title):
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"\n## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end == -1 else text[start:end]
+
+
+def test_library_use_snippet_runs(capsys):
+    section = _section("Library use")
+    (snippet,) = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+    namespace = {}
+    exec(compile(snippet, str(README), "exec"), namespace)
+    report, sweep = namespace["report"], namespace["sweep"]
+    assert isinstance(report, EvalReport) and len(report.patients) == 20
+    assert isinstance(sweep, SweepResult) and [row.k for row in sweep.rows] == list(range(1, 8))
+    assert capsys.readouterr().out.count("\n") == 2
+
+
+def test_library_use_states_the_scoring_block():
+    section = _section("Library use")
+    assert f"`_SCORE_ROWS` = {_SCORE_ROWS} rows at a time" in section
+    assert f"temporary is {_SCORE_ROWS} × D float64" in section

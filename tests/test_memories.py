@@ -1,8 +1,10 @@
 """Item memory, level memory, and the gated associative memory."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdeeg import (
@@ -15,6 +17,7 @@ from hdeeg import (
     cosine_similarity,
     hamming_distance,
 )
+from hdeeg.memories import _SCORE_ROWS
 
 # -------------------------------------------------------------- ItemMemory
 
@@ -462,3 +465,82 @@ def test_am_similarities_and_gate_match_cosine_similarity(data):
         assert am.bundle_count(label) == count + len(admitted_rows)
         assert np.array_equal(am.prototype(label), before + admitted_rows.sum(axis=0, dtype=np.int64))
         assert np.array_equal(am.prototype(other), other_before)
+
+
+# Row counts at the edges of the scoring blocks: none, one, a block short
+# by one, exactly one block, one row into the next, and a partial third.
+BLOCK_EDGES = [0, 1, _SCORE_ROWS - 1, _SCORE_ROWS, _SCORE_ROWS + 1, 2 * _SCORE_ROWS + 1]
+# Component bounds that keep every dot and squared norm of 16 components below 2**53.
+ROW_BOUNDS = {np.int8: 127, np.int16: 2**15 - 1, np.int64: 2**20}
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    w=st.one_of(st.sampled_from(BLOCK_EDGES), st.integers(min_value=0, max_value=4 * _SCORE_ROWS)),
+    dtype=st.sampled_from(list(ROW_BOUNDS)),
+    dim=st.integers(min_value=1, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(w=0, dtype=np.int8, dim=3, seed=0)
+@example(w=1, dtype=np.int16, dim=5, seed=1)
+@example(w=_SCORE_ROWS - 1, dtype=np.int64, dim=7, seed=2)
+@example(w=_SCORE_ROWS, dtype=np.int8, dim=16, seed=3)
+@example(w=_SCORE_ROWS + 1, dtype=np.int16, dim=9, seed=4)
+@example(w=2 * _SCORE_ROWS + 1, dtype=np.int64, dim=12, seed=5)
+def test_am_similarities_in_blocks_match_cosine_similarity_bit_for_bit(w, dtype, dim, seed):
+    rng = np.random.default_rng(seed)
+    bound = ROW_BOUNDS[dtype]
+    q = rng.integers(-bound, bound + 1, size=(w, dim)).astype(dtype)
+    q[~q.any(axis=1)] = 1
+    pa, pc = (rng.integers(-(2**20), 2**20 + 1, size=dim) for _ in range(2))
+    pa[0] = pc[0] = 2**20  # never all zero
+    am = AssociativeMemory.from_state(pa, pc, {Label.ADHD: 1, Label.CONTROL: 1}, 0.5)
+    sims = am.similarities(q)
+    assert sims.shape == (w, 2) and sims.dtype == np.float64
+    for qi, (sim_a, sim_c) in zip(q, sims):
+        assert sim_a.hex() == cosine_similarity(qi, pa).hex()
+        assert sim_c.hex() == cosine_similarity(qi, pc).hex()
+    # Norms computed once beforehand, as the sweep passes them, give the same bits.
+    assert am._similarities(q, am._window_norms(q)).tobytes() == sims.tobytes()
+
+
+@pytest.mark.parametrize("w", [1, _SCORE_ROWS + 1, 2 * _SCORE_ROWS + 1, 2 * _SCORE_ROWS + 3])
+@pytest.mark.parametrize("cancelled", [False, True])
+def test_am_zero_row_in_last_block_is_the_all_zero_error(w, cancelled):
+    # The all-zero check comes before the cancelled-prototype one, also
+    # when the zero row sits in the last, partial block.
+    pc = [0, 0, 0, 0] if cancelled else [0, 1, 0, 0]
+    am = AssociativeMemory.from_state([1, 0, 0, 0], pc, {Label.ADHD: 1, Label.CONTROL: 1}, 0.5)
+    q = np.ones((w, 4), dtype=np.int8)
+    q[-1] = 0
+    with pytest.raises(UndefinedSimilarityError, match="all-zero vector"):
+        am.similarities(q)
+
+
+def _scoring_peaks(w):
+    """Traced peaks beyond the result of similarities and offer on a (w, 10,000) int8 matrix."""
+    rng = np.random.default_rng(w)
+    vectors = (rng.integers(0, 2, size=(w, 10_000), dtype=np.int8) * 2 - 1).astype(np.int8)
+    am = AssociativeMemory(10_000)
+    am.offer(vectors[:1], Label.ADHD)
+    am.offer(-vectors[1:2], Label.CONTROL)
+    peaks = []
+    for call in (lambda: am.similarities(vectors), lambda: am.offer(vectors, Label.ADHD)):
+        tracemalloc.start()
+        try:
+            result = call()
+            peaks.append(tracemalloc.get_traced_memory()[1] - np.asarray(result).nbytes)
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_am_scoring_peak_stays_one_block_whatever_w():
+    # A float64 copy of a patient's 28 windows is 2.24 MB and grows with W;
+    # the scoring block is 8 x D float64, 640 KB, whatever W is.
+    at_28 = _scoring_peaks(28)
+    at_280 = _scoring_peaks(280)
+    assert max(at_28) < 1024 * 1024
+    for small, large in zip(at_28, at_280):
+        # Only the (W,) norms and (W, 2) dots grow, by 24 bytes a row.
+        assert large - small < 64 * 1024
