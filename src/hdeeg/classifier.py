@@ -20,7 +20,6 @@ from .dataio import DatasetManifest, DataValidationError, draw_split, split
 from .encoder import encode_windows
 from .memories import AssociativeMemory, ContinuousItemMemory, ItemMemory
 from .preprocess import (
-    ChannelStats,
     EegRecording,
     QuantizedRecording,
     compute_channel_stats,
@@ -112,6 +111,11 @@ class PipelineParams:
             f"{self.drop_samples} + k * {block} samples for a whole k >= 1 "
             f"({self.drop_samples} dropped, then {unit}); {fit} samples would fit"
         )
+
+    def channel_stats(self, recordings) -> tuple:
+        """compute_channel_stats at these percentiles, pooled after the drop."""
+        dropped = [drop_initial(rec, self.drop_samples) for rec in recordings]
+        return compute_channel_stats(dropped, self.clip_low_pct, self.clip_high_pct)
 
     def preprocess(self, rec: EegRecording, stats) -> QuantizedRecording:
         """preprocess_recording with these params' drop, factor and level count."""
@@ -366,8 +370,7 @@ def _prepare(manifest, recordings, train_ids, test_ids, params: PipelineParams, 
     for p in manifest.patients:
         params.check_length(by_id[p.id])
     pool_ids = train_ids if stats_scope == "train" else [p.id for p in manifest.patients]
-    dropped = [drop_initial(by_id[i], params.drop_samples) for i in pool_ids]
-    stats = compute_channel_stats(dropped, params.clip_low_pct, params.clip_high_pct)
+    stats = params.channel_stats(by_id[i] for i in pool_ids)
     quantized = [params.preprocess(by_id[i], stats) for i in (*train_ids, *test_ids)]
     return stats, quantized[: len(train_ids)], quantized[len(train_ids):]
 

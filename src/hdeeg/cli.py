@@ -36,7 +36,6 @@ from .memories import UntrainedMemoryError
 from .model_io import ModelFormatError, load_model, save_model, snapshot_header
 from .preprocess import (
     clip,
-    compute_channel_stats,
     downsample_mean,
     drop_initial,
     quantize,
@@ -163,11 +162,11 @@ def cmd_preprocess(args) -> int:
     manifest, recordings = load_dataset(args.manifest)
     for rec in recordings:
         params.check_length(rec, whole_windows=False)
-    dropped = [drop_initial(rec, params.drop_samples) for rec in recordings]
-    stats = compute_channel_stats(dropped, params.clip_low_pct, params.clip_high_pct)
+    stats = params.channel_stats(recordings)
     # Every recording is conditioned before the first file is written, so
     # a block that overflows leaves no output behind.
-    conditioned = [downsample_mean(clip(rec, stats), params.downsample_factor) for rec in dropped]
+    drop, factor = params.drop_samples, params.downsample_factor
+    conditioned = [downsample_mean(clip(drop_initial(r, drop), stats), factor) for r in recordings]
     out = Path(args.out)
     for rec in conditioned:
         levels = quantize(rec, stats, params.level_count).levels

@@ -386,17 +386,18 @@ def generate_synthetic(spec: SyntheticSpec):
     recordings = []
     for label, freq in ((Label.ADHD, spec.freq_adhd_hz), (Label.CONTROL, spec.freq_control_hz)):
         prefix = "adhd" if label is Label.ADHD else "control"
+        clean = spec.amplitude_uv * np.sin(
+            2.0 * math.pi * freq * t[:, np.newaxis] + phases[np.newaxis, :]
+        )
         for i in range(1, spec.patients_per_class + 1):
             pid = f"{prefix}-{i:03d}"
-            clean = spec.amplitude_uv * np.sin(
-                2.0 * math.pi * freq * t[:, np.newaxis] + phases[np.newaxis, :]
-            )
             rng = make_rng(derive_seed(spec.seed, f"synthetic:{pid}"))
-            noise = rng.normal(0.0, spec.noise_std_uv, size=clean.shape)
+            # The noise array becomes the samples; IEEE addition commutes.
+            samples = rng.normal(0.0, spec.noise_std_uv, size=clean.shape)
             # Samples near the float64 limit can overflow to +-inf, which every
             # reader rejects: refuse them here, without an overflow warning.
             with np.errstate(over="ignore"):
-                samples = clean + noise
+                samples += clean
             if not np.isfinite(samples).all():
                 raise ValueError(f"{pid}: amplitude and noise std overflow float64 samples")
             entries.append(PatientEntry(id=pid, label=label, path=f"patients/{pid}.csv"))

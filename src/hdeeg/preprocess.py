@@ -1,13 +1,13 @@
 """Signal conditioning: sample drop, percentile clip, downsample, quantize.
 
-The chain runs in that order. Clip thresholds and the quantization range
-are channel statistics computed once over a pool of recordings (normally
-the training split) and then applied to every recording, so train and
-test data share one level scale.
+The chain runs in that order. Each channel's range [low, high], its clip
+thresholds and also its quantization range, is computed once over a pool
+of recordings (normally the training split) and then applied to every
+recording, so train and test data share one level scale.
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,46 +67,44 @@ class QuantizedRecording:
 
 @dataclass(frozen=True)
 class ChannelStats:
-    """Clip thresholds and quantization range for one channel.
+    """One channel's range [low, high]: its clip thresholds and quantization range.
 
-    Every value must be finite, with clip_low <= clip_high and quant_min <
-    quant_max, and quant_max - quant_min must be finite too; otherwise
-    DataValidationError naming the channel.  So a channel that is constant
-    over the statistics pool, whose range is one point, cannot be quantized
-    and is a data error, and so is one whose range is wider than float64.
+    Both values must be finite, with low < high, and high - low must be
+    finite too; otherwise DataValidationError naming the channel.  So a
+    channel that is constant over the statistics pool, whose range is one
+    point, cannot be quantized and is a data error, and so is one whose
+    range is wider than float64.
+
+    to_dict writes the range twice, as the clip and the quantization pair,
+    so snapshots and preprocess stats.json keep their bytes; from_dict
+    reads the clip pair.
     """
 
     channel: str
-    clip_low: float
-    clip_high: float
-    quant_min: float
-    quant_max: float
+    low: float
+    high: float
 
     def __post_init__(self):
-        values = (self.clip_low, self.clip_high, self.quant_min, self.quant_max)
+        values = (self.low, self.high)
         if not all(math.isfinite(v) for v in values):
             raise DataValidationError(f"channel {self.channel}: non-finite channel stats {values}")
-        if self.clip_high < self.clip_low:
+        if self.high <= self.low:
             raise DataValidationError(
-                f"channel {self.channel}: clip range [{self.clip_low}, {self.clip_high}] is reversed"
+                f"channel {self.channel}: degenerate quantization range [{self.low}, {self.high}]"
             )
-        if self.quant_max <= self.quant_min:
-            raise DataValidationError(
-                f"channel {self.channel}: degenerate quantization range "
-                f"[{self.quant_min}, {self.quant_max}]"
-            )
-        if not math.isfinite(float(self.quant_max) - float(self.quant_min)):
+        if not math.isfinite(float(self.high) - float(self.low)):
             raise DataValidationError(
                 f"channel {self.channel}: quantization range "
-                f"[{self.quant_min}, {self.quant_max}] is wider than float64 holds"
+                f"[{self.low}, {self.high}] is wider than float64 holds"
             )
 
     def to_dict(self) -> dict:
-        return {f.name: f.type(getattr(self, f.name)) for f in fields(self)}
+        lo, hi = float(self.low), float(self.high)
+        return dict(channel=str(self.channel), clip_low=lo, clip_high=hi, quant_min=lo, quant_max=hi)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ChannelStats":
-        return cls(**{f.name: f.type(doc[f.name]) for f in fields(cls)})
+        return cls(str(doc["channel"]), float(doc["clip_low"]), float(doc["clip_high"]))
 
 
 def drop_initial(rec: EegRecording, drop_samples: int) -> EegRecording:
@@ -131,14 +129,15 @@ def _nearest_rank(sorted_pool: np.ndarray, pct: float) -> float:
 
 
 def compute_channel_stats(recordings, clip_low_pct: float = 0.5, clip_high_pct: float = 99.5):
-    """Per-channel clip thresholds and quantization range over a pool.
+    """Per-channel range [low, high] over a pool.
 
     Samples of all recordings are pooled per channel.  Clip thresholds are
     nearest-rank percentiles of the pool; the quantization range is the
     observed [min, max] of the pooled samples after clipping, which is the
     clip thresholds themselves: both are elements of the pool with low <=
-    high, so clipping maps the pool's extremes onto them.  Returns a tuple
-    of ChannelStats in channel order.
+    high, so clipping maps the pool's extremes onto them.  So one range
+    serves both, and the result is a tuple of ChannelStats(channel, low,
+    high) in channel order.
     """
     recordings = list(recordings)
     if not recordings:
@@ -159,26 +158,24 @@ def compute_channel_stats(recordings, clip_low_pct: float = 0.5, clip_high_pct: 
         pool.sort()
         lo = _nearest_rank(pool, clip_low_pct)
         hi = _nearest_rank(pool, clip_high_pct)
-        stats.append(
-            ChannelStats(channel=name, clip_low=lo, clip_high=hi, quant_min=lo, quant_max=hi)
-        )
+        stats.append(ChannelStats(name, lo, hi))
     return tuple(stats)
 
 
-def _stats_by_channel(rec, stats):
-    by_name = {s.channel: s for s in stats}
+def _ranges(rec, stats):
+    """The (1, channels) rows of low and high values in ``rec``'s channel order."""
+    by_name = {s.channel: (s.low, s.high) for s in stats}
     missing = [c for c in rec.channels if c not in by_name]
     if missing:
         raise ValueError(f"{rec.patient_id}: no channel stats for {missing}")
-    return [by_name[c] for c in rec.channels]
+    ranges = np.array([by_name[c] for c in rec.channels], dtype=np.float64).reshape(-1, 2)
+    return ranges[np.newaxis, :, 0], ranges[np.newaxis, :, 1]
 
 
 def clip(rec: EegRecording, stats) -> EegRecording:
-    """Limit each channel to its [clip_low, clip_high] band."""
-    ordered = _stats_by_channel(rec, stats)
-    lo = np.array([s.clip_low for s in ordered])
-    hi = np.array([s.clip_high for s in ordered])
-    return replace(rec, samples=np.clip(rec.samples, lo[np.newaxis, :], hi[np.newaxis, :]))
+    """Limit each channel to its [low, high] range."""
+    lo, hi = _ranges(rec, stats)
+    return replace(rec, samples=np.clip(rec.samples, lo, hi))
 
 
 def downsample_mean(rec: EegRecording, factor: int) -> EegRecording:
@@ -206,16 +203,13 @@ def downsample_mean(rec: EegRecording, factor: int) -> EegRecording:
 def quantize(rec: EegRecording, stats, level_count: int) -> QuantizedRecording:
     """Map each sample to a level index via linear quantization.
 
-    level = clamp(floor((x - quant_min) / (quant_max - quant_min) * level_count),
+    level = clamp(floor((x - low) / (high - low) * level_count),
     0, level_count - 1), per channel.
     """
     if level_count < 2:
         raise ValueError(f"need at least 2 levels, got {level_count}")
-    ordered = _stats_by_channel(rec, stats)
-    lo = np.array([s.quant_min for s in ordered])
-    hi = np.array([s.quant_max for s in ordered])
-    span = hi - lo
-    scaled = (rec.samples - lo[np.newaxis, :]) / span[np.newaxis, :] * level_count
+    lo, hi = _ranges(rec, stats)
+    scaled = (rec.samples - lo) / (hi - lo) * level_count
     levels = np.clip(np.floor(scaled), 0, level_count - 1).astype(LEVEL_DTYPE)
     return QuantizedRecording(
         patient_id=rec.patient_id,

@@ -160,6 +160,17 @@ def test_params_preprocess_matches_preprocess_recording(small_dataset):
         np.testing.assert_array_equal(params.preprocess(rec, stats).levels, expected.levels)
 
 
+def test_params_channel_stats_pool_after_the_drop(small_dataset):
+    params = PipelineParams(drop_samples=256, clip_low_pct=2.0, clip_high_pct=97.0)
+    _, recordings = small_dataset
+    expected = compute_channel_stats([drop_initial(r, 256) for r in recordings], 2.0, 97.0)
+    assert params.channel_stats(iter(recordings)) == expected
+    # A spike in the dropped samples would move the upper percentile if it were pooled.
+    spiked = [replace(r, samples=np.r_[np.full((256, 2), 1e6), r.samples[256:]]) for r in recordings]
+    assert compute_channel_stats(spiked, 2.0, 97.0) != expected
+    assert params.channel_stats(spiked) == expected
+
+
 def test_run_trial_rejects_partial_windows(small_params, small_counts):
     manifest, recordings = generate_synthetic(
         SyntheticSpec(patients_per_class=4, samples=1800, seed=21)

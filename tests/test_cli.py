@@ -468,11 +468,28 @@ def _set_stats(**fields):
     return lambda header, arrays: header["channel_stats"][1].update(fields)
 
 
+def _set_range(low, high):
+    return _set_stats(clip_low=low, clip_high=high, quant_min=low, quant_max=high)
+
+
+# Each channel's range is stored twice, as the clip and the quantization
+# pair.  The stats are built from the clip pair, and the header check
+# refuses a quantization pair that differs from it.
 UNUSABLE_STATS = {
-    "nan_clip_low": (_set_stats(clip_low=float("nan")), "non-finite"),
-    "empty_quant_range": (_set_stats(quant_max=0.5, quant_min=0.5), "degenerate quantization"),
-    "swapped_quant_range": (_set_stats(quant_max=-1.0, quant_min=1.0), "degenerate quantization"),
-    "reversed_clip_range": (_set_stats(clip_low=1.0, clip_high=-1.0), "clip range"),
+    "nan_clip_low": (_set_stats(clip_low=float("nan")), "channel Cz: non-finite"),
+    "empty_quant_range": (
+        _set_range(0.5, 0.5), "channel Cz: degenerate quantization range [0.5, 0.5]"
+    ),
+    "swapped_quant_range": (
+        _set_range(1.0, -1.0), "channel Cz: degenerate quantization range [1.0, -1.0]"
+    ),
+    "reversed_clip_range": (
+        _set_stats(clip_low=1.0, clip_high=-1.0),
+        "channel Cz: degenerate quantization range [1.0, -1.0]",
+    ),
+    "quant_range_differs": (
+        _set_stats(quant_min=-1.0, quant_max=1.0), "header is not the one save_model writes"
+    ),
 }
 
 
@@ -487,7 +504,7 @@ def test_unusable_channel_stats_snapshot_is_data_error(
         ["eval", "--manifest", str(dataset_dir), "--model", str(bad), "--report", str(report)]
     )
     assert code == EXIT_DATA
-    assert f"channel Cz: {reason}" in capsys.readouterr().err
+    assert reason in capsys.readouterr().err
     assert not report.exists()
     assert main(["inspect-model", "--model", str(bad)]) == EXIT_DATA
     assert capsys.readouterr().out == ""

@@ -63,20 +63,13 @@ def test_channel_stats_nearest_rank_example():
     # 101 integer values 0..100: the (1, 99) percentiles are 1 and 99.
     rec = make_rec(np.arange(101, dtype=float))
     (stats,) = compute_channel_stats([rec], 1.0, 99.0)
-    assert stats.clip_low == 1.0
-    assert stats.clip_high == 99.0
-    # After clipping, the pool spans exactly the thresholds.
-    assert stats.quant_min == 1.0
-    assert stats.quant_max == 99.0
+    assert (stats.low, stats.high) == (1.0, 99.0)
 
 
 def test_channel_stats_extreme_percentiles_noop():
     rec = make_rec([5.0, -3.0, 12.0, 0.0])
     (stats,) = compute_channel_stats([rec], 0.0, 100.0)
-    assert stats.clip_low == -3.0
-    assert stats.clip_high == 12.0
-    assert stats.quant_min == -3.0
-    assert stats.quant_max == 12.0
+    assert (stats.low, stats.high) == (-3.0, 12.0)
 
 
 def test_channel_stats_pools_across_recordings():
@@ -84,8 +77,8 @@ def test_channel_stats_pools_across_recordings():
     b = make_rec(np.arange(50, 101, dtype=float), pid="b")
     (stats,) = compute_channel_stats([a, b], 1.0, 99.0)
     pooled = list(range(101))
-    assert stats.clip_low == naive_percentile(pooled, 1.0)
-    assert stats.clip_high == naive_percentile(pooled, 99.0)
+    assert stats.low == naive_percentile(pooled, 1.0)
+    assert stats.high == naive_percentile(pooled, 99.0)
 
 
 def test_channel_stats_per_channel():
@@ -94,8 +87,8 @@ def test_channel_stats_per_channel():
         channels=("F4", "Cz"),
     )
     f4, cz = compute_channel_stats([rec], 0.0, 100.0)
-    assert f4.channel == "F4" and f4.quant_max == 9.0
-    assert cz.channel == "Cz" and cz.quant_max == 900.0
+    assert f4.channel == "F4" and f4.high == 9.0
+    assert cz.channel == "Cz" and cz.high == 900.0
 
 
 def test_channel_stats_validation():
@@ -117,15 +110,17 @@ NAN, INF = float("nan"), float("inf")
 @pytest.mark.parametrize(
     "values, match",
     [
-        ((NAN, 5.0, -5.0, 5.0), "non-finite"),
-        ((-5.0, INF, -5.0, 5.0), "non-finite"),
-        ((-5.0, 5.0, -INF, 5.0), "non-finite"),
-        ((-5.0, 5.0, -5.0, NAN), "non-finite"),
-        ((5.0, -5.0, -5.0, 5.0), "clip range .* is reversed"),
-        ((-5.0, 5.0, 2.0, 2.0), "degenerate quantization range"),
-        ((-5.0, 5.0, 5.0, -5.0), "degenerate quantization range"),
+        ((NAN, 5.0), "non-finite"),
+        ((-5.0, INF), "non-finite"),
+        ((-INF, 5.0), "non-finite"),
+        ((-5.0, NAN), "non-finite"),
+        # Signed zeros compare equal: a one-point range.
+        ((0.0, -0.0), "degenerate quantization range"),
+        ((2.0, 2.0), "degenerate quantization range"),
+        # A reversed range fails the same check.
+        ((5.0, -5.0), "degenerate quantization range"),
         # numpy scalars, which would warn on an overflowing subtraction.
-        (tuple(np.array([-1e308, 1e308, -1e308, 1e308])), "quantization range .* is wider than float64 holds"),
+        (tuple(np.array([-1e308, 1e308])), "quantization range .* is wider than float64 holds"),
     ],
 )
 def test_channel_stats_reject_unusable_values(values, match):
@@ -134,18 +129,14 @@ def test_channel_stats_reject_unusable_values(values, match):
 
 
 def test_channel_stats_dict_round_trip_plain_types():
-    stats = ChannelStats(np.str_("Cz"), *np.array([-7.25, 9.5, -3.0, 4.0]))
+    stats = ChannelStats(np.str_("Cz"), *np.array([-7.25, 9.5]))
     doc = stats.to_dict()
+    # The serialized form names the range twice: the clip and the quantization pair.
     assert doc == {
-        "channel": "Cz", "clip_low": -7.25, "clip_high": 9.5, "quant_min": -3.0, "quant_max": 4.0,
+        "channel": "Cz", "clip_low": -7.25, "clip_high": 9.5, "quant_min": -7.25, "quant_max": 9.5,
     }
     assert [type(v) for v in doc.values()] == [str, float, float, float, float]
     assert ChannelStats.from_dict(doc) == stats
-
-
-def test_channel_stats_allow_one_point_clip_range():
-    # Only the quantization range must be wide; clipping to a point is legal.
-    assert ChannelStats("Cz", 1.0, 1.0, -5.0, 5.0).clip_high == 1.0
 
 
 def test_constant_channel_is_data_error():
@@ -176,10 +167,10 @@ def test_channel_stats_match_oracle(values, low, high):
             compute_channel_stats([rec], low, high)
         return
     (stats,) = compute_channel_stats([rec], low, high)
-    assert stats.clip_low == lo
-    assert stats.clip_high == hi
-    assert stats.quant_min == min(clipped)
-    assert stats.quant_max == max(clipped)
+    # The clip thresholds are also the range of the clipped pool.
+    assert (stats.low, stats.high) == (lo, hi)
+    assert stats.low == min(clipped)
+    assert stats.high == max(clipped)
 
 
 # ------------------------------------------------------------------- clip
@@ -187,14 +178,14 @@ def test_channel_stats_match_oracle(values, low, high):
 
 def test_clip_applies_bounds():
     rec = make_rec([-10.0, 0.0, 10.0])
-    stats = (ChannelStats("F4", -5.0, 5.0, -5.0, 5.0),)
+    stats = (ChannelStats("F4", -5.0, 5.0),)
     out = clip(rec, stats)
     assert out.samples[:, 0].tolist() == [-5.0, 0.0, 5.0]
 
 
 def test_clip_missing_channel():
     rec = make_rec([1.0], channels=("F4",))
-    stats = (ChannelStats("Cz", -5.0, 5.0, -5.0, 5.0),)
+    stats = (ChannelStats("Cz", -5.0, 5.0),)
     with pytest.raises(ValueError, match="F4"):
         clip(rec, stats)
 
@@ -258,7 +249,7 @@ def test_downsample_preserves_mean(factor, blocks, seed):
 
 
 def quant_stats(lo, hi, channel="F4"):
-    return (ChannelStats(channel, lo, hi, lo, hi),)
+    return (ChannelStats(channel, lo, hi),)
 
 
 def test_quantize_midpoint():
