@@ -14,9 +14,13 @@ row of the channel names in manifest order followed by one row of decimal
 microvolt values per sample; a channel name must be nonempty, hold no ','
 or line break and have no surrounding whitespace.  Every file is UTF-8.
 A value is any text Python's float() accepts; blank lines are rejected.
-Floats are written with repr, so write-then-load round-trips exactly.
+Written files hold the bytes of one repr per value, row by row, so
+write-then-load round-trips exactly.  Float64 blocks get those bytes from
+a numpy formatter that computes repr's shortest digits exactly for most
+values and calls repr for the rest (see _format_floats).
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -43,7 +47,7 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 # Rows formatted per write: enough to keep the per-call cost small, few
-# enough that a block's text stays near 40 KB.
+# enough that a block's layout and text stay near 100 KB.
 _CSV_BLOCK_ROWS = 1024
 _JSON_TYPES = {str: "string", list: "list"}
 
@@ -308,10 +312,15 @@ def write_csv(path, channels, values) -> None:
     """Header row of channel names, then one row of ``values`` per sample.
 
     ``values`` must be 2-D with one column per channel, else ValueError.
-    Values are written with repr, so floats round-trip exactly and integer
-    levels print as plain integers.  The file is streamed in blocks of
-    ``_CSV_BLOCK_ROWS`` rows, each formatted by one ``%`` call, so the
-    text in memory at once is one block's.  Parent directories are created.
+    The bytes equal one repr per value, row by row, so floats round-trip
+    exactly and integer levels print as plain integers.  The file is
+    streamed in blocks of ``_CSV_BLOCK_ROWS`` rows, so the text in memory
+    at once is one block's.  A float64 block is formatted by
+    :func:`_format_floats`: it computes repr's shortest round-trip digits
+    in numpy for values in [1e-4, 1e16), and calls repr for zeros,
+    subnormals, values from 1e16, inf and nan and the few values whose
+    digits it cannot decide exactly.  Any other block is formatted by one
+    ``%r`` format call.  Parent directories are created.
     """
     values = np.asarray(values)
     if values.ndim != 2 or values.shape[1] != len(channels):
@@ -321,12 +330,230 @@ def write_csv(path, channels, values) -> None:
         )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    row = ",".join(["%r"] * len(channels)) + "\n"
-    with path.open("w", encoding="utf-8") as f:
-        f.write(",".join(channels) + "\n")
+    fmt = _format_floats if values.dtype == np.float64 and len(channels) else _format_repr
+    with path.open("wb") as f:
+        f.write((",".join(channels) + "\n").encode("utf-8"))
         for start in range(0, len(values), _CSV_BLOCK_ROWS):
-            block = values[start : start + _CSV_BLOCK_ROWS]
-            f.write((row * len(block)) % tuple(block.ravel().tolist()))
+            f.write(fmt(values[start : start + _CSV_BLOCK_ROWS]))
+
+
+def _format_repr(block) -> bytes:
+    """One ``%r`` per value, rows ended by newlines, encoded as UTF-8."""
+    row = ",".join(["%r"] * block.shape[1]) + "\n"
+    return ((row * len(block)) % tuple(block.ravel().tolist())).encode("utf-8")
+
+
+# _format_floats writes what repr writes.  repr gives the shortest digits
+# that read back to the value (the nearest such when there are two), in
+# fixed notation for |x| in [1e-4, 1e16).  There the digits are computed
+# exactly in float64 and int64: y = |x| * 10**s as an exact sum hi + lo by
+# Dekker's TwoProduct (T. J. Dekker, Numer. Math. 18, 1971), then trailing
+# digits dropped while a multiple of 10**m stays within h of y, h being
+# half the gap to the neighbouring doubles at the same scale.  10**s for
+# s <= 20 is an exact double, and so are its 26-bit Veltkamp halves.
+_POW10 = np.array([float(10**k) for k in range(21)])
+_POW10_HI = _POW10 * 134217729.0  # 2**27 + 1
+_POW10_HI -= _POW10_HI - _POW10
+_POW10_LO = _POW10 - _POW10_HI
+# A gap this close to h, or to a tie between two candidates, is left to
+# repr: the float sums behind it round by less than 1e-14.
+_BAND = 1e-9
+# Values still shortening after a step taken by fewer than this many are
+# left to repr, which costs less than more steps.
+_MIN_STEP = 64
+# The text layout, _FIELD bytes per value: "-0.000" in columns 0-5 (sign,
+# then "0." and up to three zeros for a value below 1), digit j of 17 at
+# column 6 + 2j with a '.' after it, and the separator last.  Its two
+# tables are built on first use, so commands that write no floats do not
+# hold them.
+_FIELD = 40
+
+
+@functools.cache
+def _group_table() -> np.ndarray:
+    """8-byte layout words: k < 10**4 gives k's four digits, each followed
+    by '.'; 10**4 + d gives "-0.000", digit d and '.'."""
+    digits = np.frombuffer(b"0123456789", np.uint8)
+    table = np.full((10010, 8), ord("."), np.uint8)
+    for j in range(4):
+        table[:10000, 2 * j] = np.tile(np.repeat(digits, 10 ** (3 - j)), 10**j)
+    table[10000:, :6] = np.frombuffer(b"-0.000", np.uint8)
+    table[10000:, 6] = digits
+    table.flags.writeable = False
+    return table.view(np.uint64).ravel()
+
+
+@functools.cache
+def _keep_table() -> np.ndarray:
+    """Row 36 s + 2 n + sign is 0xFF at the layout columns of the text of
+    a value with scale s (its point after 17 - s digits), n significant
+    digits and that sign, and 0 elsewhere."""
+    keep = np.zeros((21, 18, 2, _FIELD), np.uint8)
+    keep[..., -1] = 0xFF
+    keep[:, :, 1, 0] = 0xFF
+    for s in range(21):
+        point = 17 - s
+        for n in range(1, 18):
+            row = keep[s, n]
+            if point <= 0:  # "0.", -point zeros, the digits
+                row[:, 1:3] = 0xFF
+                row[:, 6 + point : 6] = 0xFF
+                row[:, 6 : 6 + 2 * n : 2] = 0xFF
+            elif point <= 16:  # the digits, at least one after the point
+                row[:, 6 : 6 + 2 * max(n, point + 1) : 2] = 0xFF
+                row[:, 5 + 2 * point] = 0xFF
+    keep.flags.writeable = False
+    return keep.reshape(-1, _FIELD)
+
+
+def _shortest_digits(v: np.ndarray):
+    """repr's digits of each value of a flat float64 array, where exact.
+
+    Returns (c, n, s, ok).  Where ok, repr(v) shows the first n digits
+    of the 17-digit integer c, and c * 10**-s is the number it shows
+    (less its sign), so its point sits after 17 - s digits.  ok is False
+    for the values left to repr: outside [1e-4, 1e16) or not finite; an
+    exponent estimate that is off at a power of ten; a gap within _BAND
+    of h or of a tie; a rounding up to 10**17; and the values still
+    shortening after a step taken by fewer than _MIN_STEP values.  A
+    power of two, whose gap to the double below is half the gap above,
+    needs no case of its own: each one in [1e-4, 1e16) is exact in at
+    most 16 digits, and no shorter decimal lies within h of it.
+    """
+    a = np.abs(v)
+    ok = a >= 1e-4
+    ok &= a < 1e16
+    np.copyto(a, 1.0, where=~ok)  # a stand-in that every step below takes
+    frac, e = np.frexp(a)
+    # With the decimal exponent right, y = a * 10**s lies in [1e16, 1e17);
+    # the range check on c below finds where log10 rounded it off, which
+    # can also put s at 21 or c at 10**17.
+    hi = np.log10(a)
+    np.floor(hi, out=hi)
+    s = np.subtract(16.0, hi, out=hi).astype(np.intp)
+    np.minimum(s, 20, out=s)
+    p = np.take(_POW10, s, out=frac)
+    e -= 54
+    h = np.ldexp(p, e)
+    del e
+    # TwoProduct: hi = fl(a * p), lo = ((ah*ph - hi) + ah*pl + al*ph) + al*pl.
+    np.multiply(a, p, out=hi)
+    ah = np.multiply(a, 134217729.0, out=p)
+    al = ah - a
+    ah -= al
+    np.subtract(a, ah, out=al)
+    del p, frac
+    lo = np.take(_POW10_HI, s, out=a)
+    part = al * lo
+    lo *= ah
+    lo -= hi
+    ah *= _POW10_LO[s]
+    lo += ah
+    lo += part
+    al *= np.take(_POW10_LO, s, out=part)
+    lo += al
+    del ah, al, part
+    # y == c + lo with c the nearest integer (even at a tie, as repr) and
+    # |lo| <= 1/2; hi >= 2**53 is an even integer.
+    c = hi.astype(np.int64)
+    frac = np.rint(lo, out=hi)
+    lo -= frac
+    c += frac.astype(np.int64)
+    del hi, frac
+    # c == 10**16 is also where y is just below 10**16, a digit short.
+    ok &= c > 10**16
+    ok &= c < 10**17
+    # Step m keeps, of the values still shortening, those with a multiple
+    # of 10**m within h of y; both neighbours can fit only at m = 1, and
+    # the nearer is taken.  Each step works on the last step's keepers.
+    n = np.full(len(v), 17, np.int8)
+    cm, fm, hm, at = c, lo, h, None
+    for m in range(1, 17):
+        d = 10**m
+        cand = cm // d
+        cand *= d
+        gap = cm - cand
+        above = np.subtract(d, gap) - fm
+        gap = gap + fm
+        up = above < gap
+        tie = np.abs(above - gap) < _BAND if m == 1 else None
+        np.minimum(gap, above, out=gap)
+        del above
+        gap -= hm
+        fits = gap <= 0
+        np.abs(gap, out=gap)
+        unsure = gap < _BAND
+        del gap
+        if tie is not None:
+            unsure |= tie & fits
+        if unsure.any():
+            fits &= ~unsure
+            ok[np.flatnonzero(unsure) if at is None else at[unsure]] = False
+        cand += up * d
+        kept = np.flatnonzero(fits)
+        del up, fits, unsure, tie
+        at = kept if at is None else at[kept]
+        last = len(cm) < _MIN_STEP
+        if not last:
+            cm, fm, hm = cm[kept], fm[kept], hm[kept]
+        c[at] = cand[kept]
+        n[at] = 17 - m
+        del cand, kept
+        if last:
+            ok[at] = False
+            break
+    ok &= c < 10**17
+    return c, n, s, ok
+
+
+def _repr_fields(values) -> np.ndarray:
+    """repr of each value, NUL-padded to a layout row less its separator."""
+    text = np.array([repr(x) for x in values.tolist()], dtype=f"S{_FIELD - 1}")
+    return text.view(np.uint8).reshape(len(values), _FIELD - 1)
+
+
+def _format_floats(block) -> bytes:
+    """The CSV rows of a float64 (rows, channels) block: one repr per value.
+
+    Each value's _keep_table row, ANDed with its 17 digits from
+    _group_table, is its text with zero bytes in the unused layout
+    columns.  A value that _shortest_digits leaves to repr gets repr's
+    text in its row instead.  Deleting the zero bytes leaves the rows.
+    """
+    v = block.ravel()
+    c, n, s, ok = _shortest_digits(v)
+    row = np.multiply(s, 36, out=s)
+    row += n * 2
+    row += np.signbit(v)
+    text = np.take(_keep_table(), row, axis=0)
+    del n, s, row
+    # One 8-byte word of every row at a time: the first digit, then four
+    # groups of four.  A value left to repr may have c up to 10**18.
+    words = text.view(np.uint64)
+    groups = _group_table()
+    high = c // 10**8
+    c -= high * 10**8
+    group = high // 10**8
+    high -= group * 10**8
+    group += 10**4
+    words[:, 0] &= np.take(groups, group, mode="clip")
+    np.floor_divide(high, 10**4, out=group)
+    high -= group * 10**4
+    words[:, 1] &= np.take(groups, group)
+    words[:, 2] &= np.take(groups, high)
+    np.floor_divide(c, 10**4, out=group)
+    c -= group * 10**4
+    words[:, 3] &= np.take(groups, group)
+    words[:, 4] &= np.take(groups, c)
+    del words, high, group, c
+    text[:, -1] = ord(",")
+    text[block.shape[1] - 1 :: block.shape[1], -1] = ord("\n")
+    slow = np.flatnonzero(~ok)
+    if len(slow):
+        text[slow, :-1] = _repr_fields(v[slow])
+    out = text.tobytes()
+    del text
+    return out.translate(None, b"\0")
 
 
 @dataclass(frozen=True)

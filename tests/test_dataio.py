@@ -29,7 +29,7 @@ from hdeeg import (
     write_dataset,
 )
 from hdeeg.dataio import _CSV_BLOCK_ROWS as _BLOCK
-from hdeeg.dataio import write_csv
+from hdeeg.dataio import _repr_fields, write_csv
 
 
 def tiny_manifest(n_per_class=2, channels=("F4", "Cz")):
@@ -377,9 +377,13 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-05, 9.
 @example(pool=_EDGE_FLOATS, integers=False, n_channels=2, n_rows=_BLOCK + 1, seed=0)
 @example(pool=[0.0, 17.0, 249.0], integers=True, n_channels=2, n_rows=_BLOCK - 1, seed=1)
 @example(pool=[-0.0], integers=False, n_channels=1, n_rows=0, seed=0)
+@example(pool=None, integers=False, n_channels=3, n_rows=2 * _BLOCK + 1, seed=2)
 @given(
-    pool=st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False)),
-                  min_size=1, max_size=12),
+    pool=st.one_of(
+        st.none(),
+        st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False)),
+                 min_size=1, max_size=12),
+    ),
     integers=st.booleans(),
     n_channels=st.integers(1, 3),
     n_rows=st.sampled_from([0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
@@ -387,17 +391,101 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-05, 9.
 )
 def test_write_csv_matches_row_join_oracle(tmp_path_factory, pool, integers, n_channels,
                                            n_rows, seed):
-    # Rows are drawn from a small pool of values so block-sized files stay
-    # cheap to generate; int64 stands for quantized levels.
-    values = np.array(pool)
+    # Values come from a small pool, or with pool=None each one on its own:
+    # a random bit pattern or a normal(0, 30) sample, half and half.  int64
+    # stands for quantized levels.
+    rng = np.random.default_rng(seed)
+    shape = (n_rows, n_channels)
+    if pool is None:
+        bits = rng.integers(-(2**63), 2**63, size=shape, dtype=np.int64).view(np.float64)
+        values = np.where(rng.random(shape) < 0.5, bits, rng.normal(0, 30, shape))
+    else:
+        values = np.array(pool)[rng.integers(len(pool), size=shape)]
     if integers:
         values = np.clip(np.nan_to_num(values), -2.0**62, 2.0**62).astype(np.int64)
-    pick = np.random.default_rng(seed).integers(len(values), size=(n_rows, n_channels))
-    values = values[pick]
     channels = ("F4", "Cz", "Pz")[:n_channels]
     path = tmp_path_factory.getbasetemp() / "oracle" / "p.csv"
     write_csv(path, channels, values)
     assert path.read_bytes() == oracle_csv_text(channels, values).encode("utf-8")
+
+
+def repr_sample() -> np.ndarray:
+    """A fixed sample of over 200,000 floats, many where repr is hard."""
+    rng = np.random.default_rng(20)
+    bits = rng.integers(-(2**63), 2**63, size=65_000, dtype=np.int64).view(np.float64)
+    eeg = rng.normal(0, 30, size=65_000)
+    # 1-17 significant digits at decimal exponents -5..16.
+    decimals = np.array([
+        float(f"{m}e{e - k + 1}")
+        for k in range(1, 18)
+        for e in range(-5, 17)
+        for m in rng.integers(10 ** (k - 1), 10**k, size=200)
+    ])
+    decimals[1::2] *= -1
+    # Powers of ten and of two, each with its six neighbours on either side.
+    centres = np.array([10.0**k for k in range(-8, 21)] + [2.0**k for k in range(-30, 60)])
+    powers = (centres.view(np.int64) + np.arange(-6, 7)[:, None]).view(np.float64).ravel()
+    top = np.finfo(np.float64).max
+    special = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, top, -top]
+    return np.concatenate([bits, eeg, decimals, powers, -powers, special])
+
+
+def test_write_csv_matches_repr_on_hard_values(tmp_path):
+    values = repr_sample()
+    assert values.size >= 200_000
+    values = values[: values.size // 2 * 2].reshape(-1, 2)
+    write_csv(tmp_path / "p.csv", ("F4", "Cz"), values)
+    assert (tmp_path / "p.csv").read_bytes() == oracle_csv_text(("F4", "Cz"), values).encode()
+
+
+def test_write_csv_powers_of_two_need_no_case_of_their_own(tmp_path, monkeypatch):
+    # The gap below a power of two is half the gap above it, and the digit
+    # search uses the gap above.  Each power of two in [1e-4, 1e16) fills
+    # 64 rows, so it is still numerous at every step and is not sent to
+    # repr; only +-1.0, whose exponent estimate sits on a power of ten, is.
+    powers = np.ldexp(1.0, np.arange(-13, 54))
+    values = np.repeat(np.concatenate([powers, -powers]), 2 * 64).reshape(-1, 2)
+    spliced = []
+
+    def counted(values):
+        spliced.append(len(values))
+        return _repr_fields(values)
+
+    monkeypatch.setattr("hdeeg.dataio._repr_fields", counted)
+    write_csv(tmp_path / "p.csv", ("F4", "Cz"), values)
+    assert (tmp_path / "p.csv").read_bytes() == oracle_csv_text(("F4", "Cz"), values).encode()
+    assert sum(spliced) == 2 * 2 * 64
+
+
+@pytest.mark.parametrize("direction", [-np.inf, np.inf])
+def test_write_csv_survives_a_log10_one_ulp_off(tmp_path, monkeypatch, direction):
+    # numpy's log10 need not be correctly rounded.  One ulp off at a power
+    # of ten puts the decimal exponent one off, so the scale leaves its
+    # table or the digits reach 10**17; such values must go to repr.
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), direction))
+    powers = 10.0 ** np.arange(-4, 16)
+    values = np.repeat(np.concatenate([powers, np.nextafter(powers, np.inf)]), 64).reshape(-1, 2)
+    write_csv(tmp_path / "p.csv", ("F4", "Cz"), values)
+    assert (tmp_path / "p.csv").read_bytes() == oracle_csv_text(("F4", "Cz"), values).encode()
+
+
+def test_write_csv_formats_eeg_values_without_repr(tmp_path, monkeypatch):
+    # A silent fall back to one repr per value would keep the bytes and
+    # lose the speed; on generate_synthetic's values under 1% go to repr.
+    spec = SyntheticSpec(patients_per_class=1, samples=7680, seed=3)
+    manifest, recordings = generate_synthetic(spec)
+    spliced = []
+
+    def counted(values):
+        spliced.append(len(values))
+        return _repr_fields(values)
+
+    monkeypatch.setattr("hdeeg.dataio._repr_fields", counted)
+    write_dataset(tmp_path, manifest, recordings)
+    total = sum(rec.samples.size for rec in recordings)
+    assert total == 2 * 7680 * 2
+    assert sum(spliced) <= total // 100
 
 
 def test_write_csv_transient_memory_is_one_block(tmp_path):
