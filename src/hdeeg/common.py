@@ -5,6 +5,10 @@ generator seeded with an unsigned 64-bit integer.  Independent streams for
 different purposes (item memory, level memory, splits, synthetic noise) are
 derived from one root seed with :func:`derive_seed`, so a single ``--seed``
 reproduces an entire experiment bit for bit.
+
+Annotations that name ``np.random`` are quoted: numpy 2 loads
+``numpy.random`` on first use, so commands that draw nothing (eval,
+preprocess, inspect-model) never load it.
 """
 
 import hashlib
@@ -38,7 +42,7 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
-def make_rng(seed: int) -> np.random.Generator:
+def make_rng(seed: int) -> "np.random.Generator":
     """PCG64 generator for the given seed.
 
     PCG64 is the one generator used everywhere; values are drawn in

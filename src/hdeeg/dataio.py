@@ -655,7 +655,7 @@ def split(manifest: DatasetManifest, train_counts, test_counts, seed: int):
     return draw_split(manifest, train_counts, test_counts, make_rng(seed))
 
 
-def draw_split(manifest: DatasetManifest, train_counts, test_counts, rng: np.random.Generator):
+def draw_split(manifest: DatasetManifest, train_counts, test_counts, rng: "np.random.Generator"):
     """The draws of :func:`split`, taken from ``rng``.
 
     Per class (ADHD first, then CONTROL) the patient ids are shuffled and

@@ -19,11 +19,13 @@ bits of e that start at bit s.  Sample t (0-based) is rotated by m - t, so
 it reads e from bit t: byte t // 8 of a copy of the packed row shifted
 left by t % 8 bits.  The eight shifted copies of every level's packed
 row, 8 x levels x (m // 8 + ceil(D / 64) * 8) bytes (about 2.4 MiB at
-D = 10,000, 250 levels, n = 32), are built once per level memory and n.
-The extended rows are gathered and packed _LEVEL_BLOCK = 16 levels at a
-time, so beyond the packed rows the build holds two unpacked blocks of
-16 x 8 x (m // 8 + ceil(D / 64) * 8 + 1) bytes (about 160 KiB each at
-that scale), not two unpacked copies of every level.
+D = 10,000, 250 levels, n = 32), are built once per level memory and n,
+from the memory's packed sign bits, its only copy of the levels.  The
+extended rows are gathered and packed _LEVEL_BLOCK = 16 levels at a
+time, so beyond the packed rows the build holds one block of 16 x D
+unpacked sign bits and one of 16 x 8 x (m // 8 + ceil(D / 64) * 8 + 1)
+gathered ones (about 160 KiB each at that scale), not unpacked copies
+of every level.
 """
 
 import numpy as np
@@ -54,8 +56,8 @@ def _level_table(cim: ContinuousItemMemory, ngram_size: int) -> np.ndarray:
     extended = (np.arange(8 * (width + 1)) - m) % d
     packed = np.empty((cim.level_count, width + 1), dtype=np.uint8)
     for k in range(0, cim.level_count, _LEVEL_BLOCK):
-        block = np.take(cim.vectors[k : k + _LEVEL_BLOCK], extended, axis=1)
-        packed[k : k + len(block)] = np.packbits(block < 0, axis=-1)
+        signs = np.unpackbits(cim.sign_bits[k : k + _LEVEL_BLOCK], axis=-1, count=d)
+        packed[k : k + len(signs)] = np.packbits(np.take(signs, extended, axis=1), axis=-1)
     table = np.empty((8, cim.level_count, width), dtype=np.uint8)
     table[0] = packed[:, :-1]
     for r in range(1, 8):

@@ -1,8 +1,12 @@
 """Symbol, level, and class-prototype memories.
 
-ItemMemory maps channel names to fixed random bipolar vectors.
-ContinuousItemMemory maps quantization levels to bipolar vectors whose
-pairwise distance grows with level distance (a cumulative flip schedule).
+ItemMemory maps channel names to fixed random bipolar vectors, held as
+int8.  ContinuousItemMemory maps quantization levels to bipolar vectors
+whose pairwise distance grows with level distance (a cumulative flip
+schedule); it holds them only as packed sign bits, np.packbits(v < 0),
+one (levels, ceil(D / 8)) uint8 matrix (about 305 KiB at 250 levels and
+D = 10,000, an eighth of the int8 matrix), and unpacks int8 rows only
+when they are asked for.
 AssociativeMemory keeps one integer-sum prototype per class and takes
 a patient's (W, D) window matrix whole: ``offer`` gates its rows in,
 ``similarities`` scores them as (W, 2) cosines (ADHD, CONTROL).  Both
@@ -36,8 +40,8 @@ _LABELS = (Label.ADHD, Label.CONTROL)
 _SCORE_ROWS = 8
 
 
-def _bipolar_copy(vectors: np.ndarray, what: str) -> np.ndarray:
-    """Read-only int8 copy of ``vectors``; ValueError unless every component is +1 or -1.
+def _check_bipolar(vectors: np.ndarray, what: str) -> None:
+    """ValueError unless every component of ``vectors`` is +1 or -1.
 
     Checked row by row, so no temporary of the whole matrix is made.  The
     encoder's XOR kernel is exact only on bipolar components.
@@ -47,9 +51,6 @@ def _bipolar_copy(vectors: np.ndarray, what: str) -> np.ndarray:
             raise ValueError(
                 f"{what} is not bipolar: row {i} holds a component other than +1 or -1"
             )
-    copy = vectors.astype(hv.BIPOLAR_DTYPE, copy=True)
-    copy.flags.writeable = False
-    return copy
 
 
 class ItemMemory:
@@ -64,8 +65,10 @@ class ItemMemory:
             raise ValueError(f"duplicate channel names: {names}")
         if not names or any(not n for n in names):
             raise ValueError("channel names must be nonempty")
+        _check_bipolar(vectors, "item_memory")
         self._names = names
-        self._vectors = _bipolar_copy(vectors, "item_memory")
+        self._vectors = vectors.astype(hv.BIPOLAR_DTYPE, copy=True)
+        self._vectors.flags.writeable = False
 
     @classmethod
     def build(cls, channel_names, seed: int, dimension: int) -> "ItemMemory":
@@ -116,13 +119,22 @@ class ContinuousItemMemory:
     Flip counts accumulate with k, so the Hamming distance from level 0
     grows linearly and the two extreme levels differ in exactly half the
     components (orthogonal endpoints).
+
+    The levels are stored only as their packed sign bits; ``vectors``,
+    ``rows`` and ``level`` unpack fresh read-only int8 copies.
     """
 
     def __init__(self, vectors: np.ndarray):
         vectors = np.asarray(vectors)
         if vectors.ndim != 2 or vectors.shape[0] < 2:
             raise ValueError("need a (levels, dimension) matrix with at least 2 levels")
-        self._vectors = _bipolar_copy(vectors, "level_memory")
+        _check_bipolar(vectors, "level_memory")
+        levels, self._dimension = vectors.shape
+        # Row by row, so no whole-matrix copy or bool temporary is made.
+        self._bits = np.empty((levels, -(-self._dimension // 8)), dtype=np.uint8)
+        for bits, row in zip(self._bits, vectors):
+            bits[:] = np.packbits(row < 0)
+        self._bits.flags.writeable = False
         # Packed level tables of encoder._level_table, keyed by ngram size.
         self._packed_tables: dict = {}
 
@@ -144,21 +156,38 @@ class ContinuousItemMemory:
 
     @property
     def level_count(self) -> int:
-        return self._vectors.shape[0]
+        return self._bits.shape[0]
 
     @property
     def dimension(self) -> int:
-        return self._vectors.shape[1]
+        return self._dimension
+
+    @property
+    def sign_bits(self) -> np.ndarray:
+        """Read-only (level_count, ceil(dimension / 8)) uint8 matrix; row k is
+        np.packbits(level k < 0), its padding bits zero."""
+        return self._bits
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Read-only int8 (stop - start, dimension) copy of levels start..stop-1
+        (clipped to the memory, like a slice), unpacked from the sign bits."""
+        rows = np.unpackbits(self._bits[start:stop], axis=-1, count=self._dimension).view(np.int8)
+        rows *= -2
+        rows += 1
+        rows.flags.writeable = False
+        return rows
 
     @property
     def vectors(self) -> np.ndarray:
-        """Read-only (level_count, dimension) matrix, row k for level k."""
-        return self._vectors
+        """Read-only (level_count, dimension) int8 matrix, row k for level k.
+
+        Unpacked on every access: the memory keeps only the sign bits."""
+        return self.rows(0, self.level_count)
 
     def level(self, k: int) -> np.ndarray:
         if not 0 <= k < self.level_count:
             raise ValueError(f"level index {k} out of range [0, {self.level_count})")
-        return self._vectors[k]
+        return self.rows(k, k + 1)[0]
 
 
 class AssociativeMemory:

@@ -10,7 +10,8 @@ The header carries the pipeline parameters, channel names, channel
 statistics, bundle counts, split ids, and an ordered ``arrays`` list of
 (name, dtype, shape) descriptors.  Array bytes follow in exactly that
 order as little-endian C-order buffers: the item-memory matrix (int8),
-the level-memory matrix (int8), then the two prototype accumulators
+the level-memory matrix (int8, unpacked from the memory's sign bits on
+save and packed again on load), then the two prototype accumulators
 (int64).  Nothing in the file depends on time or environment, so saving
 the same model twice yields identical bytes, and a file loads only if
 its header line is exactly the one ``save_model`` writes for the model
@@ -33,6 +34,9 @@ __all__ = ["ModelFormatError", "snapshot_header", "save_model", "load_model"]
 MAGIC = b"hdeeg-model-v1\n"
 
 _ARRAY_DTYPES = {"int8": "<i1", "int64": "<i8"}
+
+# Level-memory rows unpacked and written at a time: 160 KB at D = 10,000.
+_LEVEL_ROWS = 16
 
 
 class ModelFormatError(ValueError):
@@ -73,24 +77,24 @@ def _header_line(model: TrainedModel) -> bytes:
 def save_model(model: TrainedModel, path) -> None:
     """Write the snapshot, creating its directory; byte-identical for
     identical models.  Each array's buffer is written as it is, so the
-    int8 memories are not copied."""
+    item memory is not copied, and the level memory is unpacked from its
+    sign bits _LEVEL_ROWS rows at a time."""
     line = _header_line(model)
+    cim = model.level_memory
     sources = (
-        model.item_memory.vectors,
-        model.level_memory.vectors,
-        model.memory.prototype(Label.ADHD),
-        model.memory.prototype(Label.CONTROL),
+        [model.item_memory.vectors],
+        (cim.rows(k, k + _LEVEL_ROWS) for k in range(0, cim.level_count, _LEVEL_ROWS)),
+        [model.memory.prototype(Label.ADHD)],
+        [model.memory.prototype(Label.CONTROL)],
     )
-    arrays = [
-        np.ascontiguousarray(arr, dtype=_ARRAY_DTYPES[desc["dtype"]])
-        for desc, arr in zip(_layout(model.params, len(model.channels)), sources)
-    ]
+    dtypes = [_ARRAY_DTYPES[desc["dtype"]] for desc in _layout(model.params, len(model.channels))]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as f:
         f.write(MAGIC + line + b"\n")
-        for arr in arrays:
-            f.write(arr.data)
+        for dtype, blocks in zip(dtypes, sources):
+            for arr in blocks:
+                f.write(np.ascontiguousarray(arr, dtype=dtype).data)
 
 
 def load_model(path) -> TrainedModel:

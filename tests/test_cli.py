@@ -8,6 +8,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hdeeg
@@ -1001,6 +1002,20 @@ def test_module_entrypoint():
     )
     assert proc.returncode == 0
     assert "gen-synth" in proc.stdout
+
+
+@pytest.mark.skipif(
+    int(np.__version__.split(".")[0]) < 2, reason="numpy < 2 imports numpy.random itself"
+)
+def test_cli_import_leaves_numpy_random_unloaded():
+    # Commands that draw nothing (eval, preprocess, inspect-model) should
+    # not pay for loading numpy.random, which numpy >= 2 loads lazily.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hdeeg.cli; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, cwd=Path(hdeeg.__file__).resolve().parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script():

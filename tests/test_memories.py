@@ -165,6 +165,50 @@ def test_cim_schedule_invariants(level_count, half_dim, seed):
         previous = d
 
 
+@pytest.mark.parametrize("dimension", [66, 1002])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
+def test_cim_unpacks_the_matrix_it_was_built_from(dimension, dtype):
+    # 66 and 1002 are not multiples of 8, so the last packed byte holds
+    # padding bits that must not show.
+    matrix = np.random.default_rng(dimension).choice(np.array([-1, 1], dtype=dtype), (19, dimension))
+    cim = ContinuousItemMemory(matrix)
+    assert cim.sign_bits.shape == (19, -(-dimension // 8))
+    assert cim.sign_bits.dtype == np.uint8
+    assert np.array_equal(cim.sign_bits, np.packbits(matrix < 0, axis=1))
+    assert cim.vectors.dtype == np.int8
+    assert np.array_equal(cim.vectors, matrix)
+    for k in range(19):
+        assert cim.level(k).dtype == np.int8
+        assert np.array_equal(cim.level(k), matrix[k])
+    assert np.array_equal(cim.rows(16, 99), matrix[16:])
+
+
+def test_cim_unpacks_a_built_memory_exactly():
+    cim = ContinuousItemMemory.build(40, seed=2, dimension=1002)
+    assert np.array_equal(ContinuousItemMemory(cim.vectors).sign_bits, cim.sign_bits)
+    assert np.array_equal(np.stack([cim.level(k) for k in range(40)]), cim.vectors)
+
+
+def test_cim_arrays_are_read_only():
+    cim = ContinuousItemMemory.build(4, seed=0, dimension=66)
+    for arr in (cim.vectors, cim.level(1), cim.rows(0, 2), cim.sign_bits):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_cim_keeps_under_one_mib_at_paper_scale():
+    # 250 levels at D = 10,000 as int8 take 2.5 MB; packed, 312.5 KB.
+    tracemalloc.start()
+    try:
+        cim = ContinuousItemMemory.build(250, seed=0, dimension=10000)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1024 * 1024
+    assert cim.sign_bits.nbytes == 312_500
+
+
 # ------------------------------------------------------- AssociativeMemory
 
 
