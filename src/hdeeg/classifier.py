@@ -12,13 +12,14 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
+from itertools import accumulate
 
 import numpy as np
 
 from .common import Label, check_seed, derive_seed, make_rng
 from .dataio import DatasetManifest, DataValidationError, draw_split, split
 from .encoder import encode_windows
-from .memories import AssociativeMemory, ContinuousItemMemory, ItemMemory
+from .memories import AssociativeMemory, ContinuousItemMemory, ItemMemory, score_each_change
 from .preprocess import (
     EegRecording,
     QuantizedRecording,
@@ -422,21 +423,20 @@ class SweepResult:
     runs: tuple
 
 
-def _sweep_accuracy(am: AssociativeMemory, q_test, test_encodings, test_norms) -> float:
+def _sweep_accuracy(q_test, counts, sims) -> float:
     """Patient accuracy that tolerates a single-class memory.
 
-    While one prototype is still empty, every window counts as the trained
-    class (an empty prototype loses every comparison), which keeps sweep
-    rows for tiny training prefixes well defined.  Otherwise this is the
-    accuracy of summarize() over the held-out patients, scored with their
-    window norms from ``test_norms``, which stay fixed for the whole run.
+    While one prototype is still empty (``sims`` is None), every window
+    counts as the trained class (an empty prototype loses every
+    comparison), which keeps sweep rows for tiny training prefixes well
+    defined.  Otherwise this is the accuracy of summarize() over the
+    held-out patients, from their (W, 2) similarities ``sims``.
     """
-    trained = [label for label in (Label.ADHD, Label.CONTROL) if am.bundle_count(label) > 0]
-    if len(trained) == 1:
-        return 100.0 * sum(1 for q in q_test if q.label is trained[0]) / len(q_test)
+    if sims is None:
+        (trained,) = (label for label, n in zip((Label.ADHD, Label.CONTROL), counts) if n)
+        return 100.0 * sum(1 for q in q_test if q.label is trained) / len(q_test)
     return summarize(
-        _prediction(q.patient_id, q.label, am._similarities(vectors, norms))
-        for q, vectors, norms in zip(q_test, test_encodings, test_norms)
+        _prediction(q.patient_id, q.label, s) for q, s in zip(q_test, sims)
     ).accuracy_pct
 
 
@@ -501,14 +501,15 @@ def incremental_sweep(
         )
         im, cim = build_memories(params_r, manifest.channels)
         test_encodings = [encode_windows(q, im, cim, params_r.ngram_size) for q in q_test]
-        test_norms = [AssociativeMemory._window_norms(vectors) for vectors in test_encodings]
-        am = AssociativeMemory(params_r.dimension, params_r.gate_threshold)
-        accuracies = []
-        for q in q_train:
-            # The first patient always admits its first window.
-            if am.offer(encode_windows(q, im, cim, params_r.ngram_size), q.label) > 0:
-                accuracy = _sweep_accuracy(am, q_test, test_encodings, test_norms)
-            accuracies.append(accuracy)
+        scored = []
+        admitted = score_each_change(
+            AssociativeMemory(params_r.dimension, params_r.gate_threshold),
+            ((encode_windows(q, im, cim, params_r.ngram_size), q.label) for q in q_train),
+            test_encodings,
+            lambda counts, sims: scored.append(_sweep_accuracy(q_test, counts, sims)),
+        )
+        # The first patient always admits its first window, so it is a step.
+        accuracies = [scored[step - 1] for step in accumulate(n > 0 for n in admitted)]
         return SweepRun(
             run_seed=run_seed,
             test_ids=tuple(test_ids),

@@ -30,13 +30,10 @@ of every level.
 
 import numpy as np
 
-from .memories import ContinuousItemMemory, ItemMemory
+from .memories import _LEVEL_BLOCK, ContinuousItemMemory, ItemMemory
 from .preprocess import QuantizedRecording
 
 __all__ = ["encode_windows"]
-
-# Levels whose extended rows are gathered and packed at a time.
-_LEVEL_BLOCK = 16
 
 
 def _row_bytes(dimension: int) -> int:

@@ -9,11 +9,17 @@ D = 10,000, an eighth of the int8 matrix), and unpacks int8 rows only
 when they are asked for.
 AssociativeMemory keeps one integer-sum prototype per class and takes
 a patient's (W, D) window matrix whole: ``offer`` gates its rows in,
-``similarities`` scores them as (W, 2) cosines (ADHD, CONTROL).  Both
-score through ``_cosines``, which casts ``_SCORE_ROWS`` rows at a time
-to float64, so a ``similarities`` call's temporary is 8 x D float64
-whatever W is; ``offer`` scores one row per gate call.
+``similarities`` scores them as (W, 2) cosines (ADHD, CONTROL).  Each
+casts a window to float64 once, in blocks into one reused buffer:
+``similarities`` ``_SCORE_ROWS`` rows at a time, so its temporary is
+8 x D float64 whatever W is, and ``offer`` half that many, carrying the
+later rows' dots forward after each admission instead of scoring a row
+per call.  ``score_each_change`` runs a sweep's training offers and
+scores its fixed held-out set after every change, casting each held-out
+window once per batch of ``_SCORE_ROWS // 2`` changes.
 """
+
+import math
 
 import numpy as np
 
@@ -25,6 +31,7 @@ __all__ = [
     "ItemMemory",
     "ContinuousItemMemory",
     "AssociativeMemory",
+    "score_each_change",
 ]
 
 
@@ -34,6 +41,9 @@ class UntrainedMemoryError(RuntimeError):
 
 # Row order of the prototypes and column order of similarities().
 _LABELS = (Label.ADHD, Label.CONTROL)
+
+# Levels packed or unpacked at a time: 16 x D bytes, 160 KB at D = 10,000.
+_LEVEL_BLOCK = 16
 
 # Rows cast to float64 per scoring block: 8 x D is 640 KB at D = 10,000,
 # which fits in L2, so a call's temporary does not grow with W.
@@ -129,30 +139,47 @@ class ContinuousItemMemory:
         if vectors.ndim != 2 or vectors.shape[0] < 2:
             raise ValueError("need a (levels, dimension) matrix with at least 2 levels")
         _check_bipolar(vectors, "level_memory")
-        levels, self._dimension = vectors.shape
         # Row by row, so no whole-matrix copy or bool temporary is made.
-        self._bits = np.empty((levels, -(-self._dimension // 8)), dtype=np.uint8)
-        for bits, row in zip(self._bits, vectors):
-            bits[:] = np.packbits(row < 0)
+        bits = np.empty((len(vectors), -(-vectors.shape[1] // 8)), dtype=np.uint8)
+        for packed, row in zip(bits, vectors):
+            packed[:] = np.packbits(row < 0)
+        self._adopt(bits, vectors.shape[1])
+
+    def _adopt(self, bits: np.ndarray, dimension: int) -> None:
+        """Hold ``bits`` as the read-only packed sign bits of ``dimension``-wide levels."""
+        self._bits, self._dimension = bits, dimension
         self._bits.flags.writeable = False
         # Packed level tables of encoder._level_table, keyed by ngram size.
         self._packed_tables: dict = {}
 
     @classmethod
     def build(cls, level_count: int, seed: int, dimension: int) -> "ContinuousItemMemory":
+        """Draw the level memory straight into packed sign bits.
+
+        Component j of level k is flipped from level 0 when its place in
+        the flip ordering is below level k's flip count, so the sign bits
+        are set _LEVEL_BLOCK levels at a time and no (levels, D) matrix is
+        made.
+        """
         if level_count < 2:
             raise ValueError(f"need at least 2 levels, got {level_count}")
         if dimension < 2 or dimension % 2 != 0:
             raise ValueError(f"dimension must be even and positive, got {dimension}")
         rng = make_rng(seed)
-        base = rng.integers(0, 2, size=dimension, dtype=hv.BIPOLAR_DTYPE) * 2 - 1
-        flip_order = rng.permutation(dimension)
-        levels = np.repeat(base[np.newaxis, :], level_count, axis=0)
-        half = dimension // 2
-        for k in range(1, level_count):
-            flips = (k * half) // (level_count - 1)
-            levels[k, flip_order[:flips]] *= -1
-        return cls(levels)
+        negative = rng.integers(0, 2, size=dimension, dtype=hv.BIPOLAR_DTYPE) == 0
+        place = np.empty(dimension, dtype=np.intp)
+        place[rng.permutation(dimension)] = np.arange(dimension)
+        flips = np.arange(level_count) * (dimension // 2) // (level_count - 1)
+        bits = np.empty((level_count, -(-dimension // 8)), dtype=np.uint8)
+        signs = np.empty((min(level_count, _LEVEL_BLOCK), dimension), dtype=bool)
+        for k in range(0, level_count, _LEVEL_BLOCK):
+            block = signs[: min(level_count - k, _LEVEL_BLOCK)]
+            np.less(place, flips[k : k + len(block), np.newaxis], out=block)
+            block ^= negative
+            bits[k : k + len(block)] = np.packbits(block, axis=-1)
+        memory = cls.__new__(cls)
+        memory._adopt(bits, dimension)
+        return memory
 
     @property
     def level_count(self) -> int:
@@ -249,9 +276,25 @@ class AssociativeMemory:
         is bundled only when cosine(row, prototype so far) < gate_threshold.
         The matrix is checked before any row is bundled, so a rejected one
         leaves the memory as it was.  Returns how many rows were admitted.
-        Precondition: prototype components, squared norms and dot products
-        stay below 2**53 in magnitude, so the float64 sums are exact.
+
+        Rows are cast to float64 ``_SCORE_ROWS // 2`` at a time, and each
+        block's squared norms and dots with the prototype are taken in one
+        call each.  An admission adds the admitted row's dot with every
+        later row of the block to their dots, and 2 * dot + its squared
+        norm to the prototype's, so each row still meets the prototype the
+        rows before it left; the next block's dots are taken from that
+        prototype.  The half block keeps a sweep's peak where it was: the
+        caller's matrix is alive during the call, and a whole block beside
+        it raised ``hdeeg sweep``'s own peak by 0.25 MiB.  Precondition:
+        prototype components, squared norms and dot products stay below
+        2**53 in magnitude, so the float64 sums are exact and every cosine
+        equals hv.cosine_similarity bit for bit.
         """
+        return self._offer(vectors, label)[0]
+
+    def _offer(self, vectors: np.ndarray, label: Label, sum_admitted: bool = False) -> tuple:
+        """offer()'s admitted count, and with ``sum_admitted`` the exact sum of
+        the admitted rows (else None) in the narrowest signed dtype that holds it."""
         label = Label(label)
         vectors = np.asarray(vectors)
         if vectors.ndim != 2 or vectors.shape[1] != self._dimension:
@@ -260,27 +303,47 @@ class AssociativeMemory:
             raise ValueError("prototype updates take integer vectors")
         if not vectors.any(axis=1).all():
             raise ValueError("cannot accumulate an all-zero vector")
+        change = np.zeros(self._dimension) if sum_admitted else None
         row = _LABELS.index(label)
-        own = slice(row, row + 1)
+        proto = self._prototypes[row]
+        square, norm = float(proto @ proto), float(self._norms[row])
         before = self._counts[label]
-        for vec in vectors:
-            if self._counts[label] == 0 or self._cosines(vec[np.newaxis], own)[0, 0] < self.gate_threshold:
-                self._prototypes[row] += vec
-                self._norms[row] = np.sqrt(self._prototypes[row] @ self._prototypes[row])
+        for _, qf in _cast_blocks(vectors, _SCORE_ROWS // 2):
+            # Python floats round each product, quotient and root as numpy does.
+            squares = np.vecdot(qf, qf).tolist()
+            dots = (qf @ proto).tolist()
+            for i, (dot, row_square) in enumerate(zip(dots, squares)):
+                if self._counts[label]:
+                    if not norm:
+                        raise hv.UndefinedSimilarityError("a class prototype cancelled to all zeros")
+                    if not dot / (math.sqrt(row_square) * norm) < self.gate_threshold:
+                        continue
+                proto += qf[i]
+                square += 2 * dot + row_square
+                norm = self._norms[row] = math.sqrt(square)
                 self._counts[label] += 1
-        return self._counts[label] - before
+                for j, extra in enumerate((qf[i + 1 :] @ qf[i]).tolist(), i + 1):
+                    dots[j] += extra
+                if change is not None:
+                    change += qf[i]
+        if change is not None:
+            # -(hi + 1) needs as wide a type as +hi does.
+            lo, hi = int(change.min()), int(change.max())
+            change = change.astype(np.min_scalar_type(min(lo, -hi - 1)))
+        return self._counts[label] - before, change
 
     def similarities(self, vectors: np.ndarray) -> np.ndarray:
         """Cosines of each row of ``vectors`` to both prototypes, as (W, 2) float64.
 
         Column 0 is the ADHD prototype, column 1 the CONTROL one.  Requires
         both prototypes to be nonempty, else UntrainedMemoryError; an
-        all-zero row raises UndefinedSimilarityError.
+        all-zero row raises UndefinedSimilarityError.  The rows are cast to
+        float64 ``_SCORE_ROWS`` at a time into one reused buffer, so no call
+        copies the whole matrix.  Encoded windows and prototypes are integer
+        vectors whose dot products and squared norms stay below 2**53, so
+        float64 sums them exactly in any order and each entry equals
+        hv.cosine_similarity(q, p) bit for bit.
         """
-        return self._similarities(vectors, None)
-
-    def _similarities(self, vectors: np.ndarray, norms) -> np.ndarray:
-        """similarities(), given the rows' ``_window_norms`` when they are known already."""
         for label in _LABELS:
             if self._counts[label] == 0:
                 raise UntrainedMemoryError(
@@ -289,46 +352,100 @@ class AssociativeMemory:
         vectors = np.asarray(vectors)
         if vectors.ndim != 2 or vectors.shape[1] != self._dimension:
             raise ValueError(f"expected shape (W, {self._dimension}), got {vectors.shape}")
-        return self._cosines(vectors, slice(None), norms)
+        qn = np.empty(len(vectors))
+        dots = np.empty((len(vectors), len(_LABELS)))
+        for start, qf in _cast_blocks(vectors, _SCORE_ROWS):
+            # From the block already cast: vecdot on float64 rows takes half
+            # einsum's time, and on the integer rows it would cast them again.
+            qn[start : start + len(qf)] = np.sqrt(np.vecdot(qf, qf))
+            np.matmul(qf, self._prototypes.T, out=dots[start : start + len(qf)])
+        _check_norms(qn, self._norms)
+        return dots / (qn[:, np.newaxis] * self._norms)
 
-    @staticmethod
-    def _window_norms(vectors: np.ndarray) -> np.ndarray:
-        """Euclidean norm, in float64, of each row of a (W, D) matrix of integer values.
 
-        These are the norms ``_similarities`` and ``_cosines`` take.  einsum
-        casts integer rows to float64 through its own small buffer, so no
-        whole float64 copy is made; the squared norms are integers below
-        2**53, so they are exact.
-        """
-        return np.sqrt(np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64))
+def score_each_change(memory: AssociativeMemory, offers, held_out, score) -> list:
+    """Offer each (vectors, label) of ``offers`` to ``memory`` in order, scoring
+    the fixed ``held_out`` matrices after every offer that changed the memory.
 
-    def _cosines(self, vectors: np.ndarray, rows: slice, norms=None) -> np.ndarray:
-        """(q . p) / (|q| |p|) for each row q of ``vectors`` and each prototype p in ``rows``.
+    Returns each offer's admitted count.  ``score(counts, sims)`` is called
+    once per offer that admitted rows (a step), steps in order: ``counts``
+    are the (ADHD, CONTROL) bundle counts after it, and ``sims`` the
+    held-out matrices' (W, 2) cosines as ``similarities`` returns them, or
+    None while a prototype is empty.  An all-zero held-out row or a
+    cancelled prototype raises UndefinedSimilarityError at the step that
+    first scores it, as ``similarities`` would there.
 
-        The rows are cast to float64 ``_SCORE_ROWS`` at a time into one
-        reused buffer, so no call copies the whole matrix.  ``norms`` are
-        the rows' ``_window_norms``, taken from each cast block unless
-        given.  Encoded windows and prototypes are integer vectors whose
-        dot products and squared norms stay below 2**53, so float64 sums
-        them exactly in any order and each entry equals
-        hv.cosine_similarity(q, p) bit for bit.
-        """
-        pf, pn = self._prototypes[rows], self._norms[rows]
-        n = len(vectors)
-        qn = np.empty(n) if norms is None else norms
-        dots = np.empty((n, len(pn)))
-        block = np.empty((min(n, _SCORE_ROWS), self._dimension))
-        for start in range(0, n, _SCORE_ROWS):
-            stop = min(start + _SCORE_ROWS, n)
-            qf = block[: stop - start]
-            qf[...] = vectors[start:stop]
-            if norms is None:
-                # From the block already cast: having einsum cast the
-                # integer rows again made a one-row gate call 1.6 times as slow.
-                qn[start:stop] = self._window_norms(qf)
-            np.matmul(qf, pf.T, out=dots[start:stop])
-        if not qn.all():
-            raise hv.UndefinedSimilarityError("cosine similarity of an all-zero vector is undefined")
-        if not pn.all():
-            raise hv.UndefinedSimilarityError("a class prototype cancelled to all zeros")
-        return dots / (qn[:, np.newaxis] * pn)
+    Each step keeps its prototype's change, the sum of the rows it
+    admitted, in the narrowest integers that hold it (int8 for the paper's
+    two-channel windows, 10 KB at D = 10,000), and steps are
+    scored in batches of ``_SCORE_ROWS // 2``.  A batch casts its changes
+    to float64 once, and each held-out block of the other
+    ``_SCORE_ROWS // 2`` rows once, and multiplies the two, so together
+    they take one ``_SCORE_ROWS`` x D float64 block; it runs after the
+    offered matrix is released.  Each step's dots are the step before's
+    plus the product with its change.  Every dot and partial sum is an
+    integer below 2**53, so each step's cosines equal ``similarities``
+    bit for bit.
+    """
+    held_out = [np.asarray(vectors) for vectors in held_out]
+    for vectors in held_out:
+        if vectors.ndim != 2 or vectors.shape[1] != memory.dimension:
+            raise ValueError(f"expected shape (W, {memory.dimension}), got {vectors.shape}")
+    # einsum casts the integer rows through its own small buffer.
+    norms = [np.sqrt(np.einsum("ij,ij->i", v, v, dtype=np.float64)) for v in held_out]
+    # Each matrix's dots with both prototypes as of the last scored step.
+    dots = [np.zeros((len(vectors), len(_LABELS))) for vectors in held_out]
+    steps = []
+
+    def score_steps():
+        changes = np.array([change for _, change, _, _ in steps], dtype=np.float64)
+        products = []
+        for vectors in held_out:
+            product = np.empty((len(vectors), len(steps)))
+            for start, qf in _cast_blocks(vectors, _SCORE_ROWS - _SCORE_ROWS // 2):
+                np.matmul(qf, changes.T, out=product[start : start + len(qf)])
+            products.append(product)
+        for step, (row, _, pn, counts) in enumerate(steps):
+            for d, product in zip(dots, products):
+                d[:, row] += product[:, step]
+            sims = None
+            if all(counts):
+                sims = [d / (qn[:, np.newaxis] * pn) for d, qn in zip(dots, norms)]
+            score(counts, sims)
+        steps.clear()
+
+    admitted = []
+    for vectors, label in offers:
+        n, change = memory._offer(vectors, label, sum_admitted=True)
+        admitted.append(n)
+        del vectors
+        if not n:
+            continue
+        counts = tuple(memory._counts[lab] for lab in _LABELS)
+        if all(counts):
+            for qn in norms:
+                _check_norms(qn, memory._norms)
+        steps.append((_LABELS.index(Label(label)), change, memory._norms.copy(), counts))
+        if len(steps) == _SCORE_ROWS // 2:
+            score_steps()
+    if steps:
+        score_steps()
+    return admitted
+
+
+def _cast_blocks(vectors: np.ndarray, rows: int):
+    """Yield (start, block): ``vectors`` cast to float64 ``rows`` rows at a
+    time into one reused buffer, so no whole float64 copy is made."""
+    block = np.empty((min(len(vectors), rows), vectors.shape[1]))
+    for start in range(0, len(vectors), rows):
+        qf = block[: min(len(vectors) - start, rows)]
+        qf[...] = vectors[start : start + len(qf)]
+        yield start, qf
+
+
+def _check_norms(window_norms: np.ndarray, prototype_norms: np.ndarray) -> None:
+    """UndefinedSimilarityError for an all-zero window, then for a cancelled prototype."""
+    if not window_norms.all():
+        raise hv.UndefinedSimilarityError("cosine similarity of an all-zero vector is undefined")
+    if not prototype_norms.all():
+        raise hv.UndefinedSimilarityError("a class prototype cancelled to all zeros")

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import PipelineParams, TrainedModel
-from .memories import AssociativeMemory, ContinuousItemMemory, ItemMemory
+from .memories import _LEVEL_BLOCK, AssociativeMemory, ContinuousItemMemory, ItemMemory
 from .preprocess import ChannelStats
 from .common import Label
 
@@ -34,9 +34,6 @@ __all__ = ["ModelFormatError", "snapshot_header", "save_model", "load_model"]
 MAGIC = b"hdeeg-model-v1\n"
 
 _ARRAY_DTYPES = {"int8": "<i1", "int64": "<i8"}
-
-# Level-memory rows unpacked and written at a time: 160 KB at D = 10,000.
-_LEVEL_ROWS = 16
 
 
 class ModelFormatError(ValueError):
@@ -78,12 +75,12 @@ def save_model(model: TrainedModel, path) -> None:
     """Write the snapshot, creating its directory; byte-identical for
     identical models.  Each array's buffer is written as it is, so the
     item memory is not copied, and the level memory is unpacked from its
-    sign bits _LEVEL_ROWS rows at a time."""
+    sign bits _LEVEL_BLOCK rows at a time."""
     line = _header_line(model)
     cim = model.level_memory
     sources = (
         [model.item_memory.vectors],
-        (cim.rows(k, k + _LEVEL_ROWS) for k in range(0, cim.level_count, _LEVEL_ROWS)),
+        (cim.rows(k, k + _LEVEL_BLOCK) for k in range(0, cim.level_count, _LEVEL_BLOCK)),
         [model.memory.prototype(Label.ADHD)],
         [model.memory.prototype(Label.CONTROL)],
     )

@@ -36,7 +36,9 @@ from hdeeg import (
     summarize,
     train,
 )
+from hdeeg import classifier, memories
 from hdeeg.classifier import _prediction
+from hdeeg.memories import _SCORE_ROWS
 
 
 def quantize_all(recordings, params, stats_pool=None):
@@ -690,34 +692,92 @@ def test_sweep_every_point_matches_training_on_the_prefix(small_dataset, small_p
 def test_sweep_scores_only_after_the_memory_changed(
     small_dataset, small_params, gate, monkeypatch
 ):
+    # The sweep keeps a step for each training patient that changed the
+    # memory and casts every held-out row once per batch of steps.
     manifest, recordings = small_dataset
     params = small_params if gate is None else replace(small_params, gate_threshold=gate)
     raw = {r.patient_id: r for r in recordings}
-    queries = 0
-    real_similarities = AssociativeMemory._similarities
+    runs = []
+    real_score_each_change, real_cast_blocks = classifier.score_each_change, memories._cast_blocks
 
-    def counting_similarities(self, vectors, norms):
-        nonlocal queries
-        queries += len(vectors)
-        return real_similarities(self, vectors, norms)
+    def recording_score_each_change(memory, offers, held_out, score):
+        run = {"held_out": list(held_out), "cast": 0, "counts": []}
+        runs.append(run)
 
-    monkeypatch.setattr(AssociativeMemory, "_similarities", counting_similarities)
+        def recording_score(counts, sims):
+            run["counts"].append(counts)
+            score(counts, sims)
+
+        run["admitted"] = real_score_each_change(memory, offers, held_out, recording_score)
+        return run["admitted"]
+
+    def counting_cast_blocks(vectors, rows):
+        for start, block in real_cast_blocks(vectors, rows):
+            if any(vectors is v for v in runs[-1]["held_out"]):
+                runs[-1]["cast"] += len(block)
+            yield start, block
+
+    monkeypatch.setattr(classifier, "score_each_change", recording_score_each_change)
+    monkeypatch.setattr(memories, "_cast_blocks", counting_cast_blocks)
     result = incremental_sweep(
         manifest, recordings, test_size=2, max_train=6, runs=3, seed=5, params=params
     )
     monkeypatch.undo()
-    windows_per_patient = 192 // params.ngram_size
-    expected = 0
-    for run in result.runs:
+    test_rows = len(result.runs[0].test_ids) * (192 // params.ngram_size)
+    batch = _SCORE_ROWS // 2
+    batches = 0
+    for run, seen in zip(result.runs, runs):
+        steps = sum(1 for n in seen["admitted"] if n > 0)
+        assert seen["cast"] == test_rows * -(-steps // batch)
+        batches += -(-steps // batch)
+        # No step repeats the bundle counts of the step before it.
+        assert len(seen["counts"]) == steps
+        assert all(a != b for a, b in zip(seen["counts"], seen["counts"][1:]))
+        # The steps that score both classes are the prefixes whose trained
+        # model has new bundle counts.
         counts = [c for _, c in prefix_points(raw, run, replace(params, seed=run.run_seed))]
-        scored = sum(
-            1 for prev, cur in zip([None, *counts], counts) if cur is not None and cur != prev
-        )
-        expected += len(run.test_ids) * windows_per_patient * scored
-    assert queries == expected
+        changed = sum(1 for prev, cur in zip([None, *counts], counts) if cur is not None and cur != prev)
+        assert sum(1 for c in seen["counts"] if all(c)) == changed
+        assert seen["counts"][-1] == counts[-1]
     if gate == -1.0:
-        # Only the step that completes the second class changes the memory.
-        assert expected == 3 * 2 * windows_per_patient
+        # Each run's first patient and the first of the other class are its
+        # only steps, so each run scores one batch.
+        assert batches == 3
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("cancelled", "a class prototype cancelled to all zeros"),
+        ("zero_held_out_row", "cosine similarity of an all-zero vector is undefined"),
+    ],
+)
+def test_sweep_that_cannot_score_raises_the_scoring_error(
+    small_dataset, small_params, monkeypatch, fault, message
+):
+    # At gate 2.0 an ADHD patient whose windows are v and -v leaves the
+    # ADHD prototype all zeros; a held-out window of zeros has no cosine.
+    # Either raises UndefinedSimilarityError at the first step that scores
+    # both classes (or, for the cancelled prototype, at the next ADHD
+    # offer), with the message a scoring call gives.
+    manifest, recordings = small_dataset
+    params = replace(small_params, gate_threshold=2.0)
+    kwargs = dict(test_size=2, max_train=6, runs=1, seed=5, params=params)
+    held_out = {i for run in incremental_sweep(manifest, recordings, **kwargs).runs for i in run.test_ids}
+    v = np.resize(np.array([2, -2, 0, 2], dtype=np.int8), params.dimension)
+    u = np.roll(v, 1)
+
+    def encode(rec, im, cim, ngram_size):
+        if fault == "zero_held_out_row" and rec.patient_id in held_out:
+            return np.stack([v, np.zeros_like(v)])
+        if fault == "cancelled" and rec.label is Label.ADHD:
+            return np.stack([v, -v])
+        return np.stack([v if rec.label is Label.ADHD else u])
+
+    monkeypatch.setattr(classifier, "encode_windows", encode)
+    with pytest.raises(hv.UndefinedSimilarityError) as raised:
+        incremental_sweep(manifest, recordings, **kwargs)
+    assert str(raised.value) == message
 
 
 def test_sweep_test_sets_follow_split_policy(sweep_result, small_dataset):

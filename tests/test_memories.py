@@ -17,7 +17,8 @@ from hdeeg import (
     cosine_similarity,
     hamming_distance,
 )
-from hdeeg.memories import _SCORE_ROWS
+from hdeeg.common import make_rng
+from hdeeg.memories import _LEVEL_BLOCK, _SCORE_ROWS, score_each_change
 
 # -------------------------------------------------------------- ItemMemory
 
@@ -187,6 +188,43 @@ def test_cim_unpacks_a_built_memory_exactly():
     cim = ContinuousItemMemory.build(40, seed=2, dimension=1002)
     assert np.array_equal(ContinuousItemMemory(cim.vectors).sign_bits, cim.sign_bits)
     assert np.array_equal(np.stack([cim.level(k) for k in range(40)]), cim.vectors)
+
+
+def _matrix_built_levels(level_count, seed, dimension):
+    """The level memory as it was built before it went straight to packed
+    bits: the whole (levels, D) int8 matrix, one level's flips at a time."""
+    rng = make_rng(seed)
+    base = rng.integers(0, 2, size=dimension, dtype=np.int8) * 2 - 1
+    flip_order = rng.permutation(dimension)
+    levels = np.repeat(base[np.newaxis, :], level_count, axis=0)
+    half = dimension // 2
+    for k in range(1, level_count):
+        levels[k, flip_order[: (k * half) // (level_count - 1)]] *= -1
+    return levels
+
+
+@pytest.mark.parametrize(
+    "level_count, dimension",
+    [(2, 2), (_LEVEL_BLOCK - 1, 66), (_LEVEL_BLOCK, 10), (_LEVEL_BLOCK + 1, 1002), (50, 2000), (250, 10_000)],
+)
+def test_cim_build_sets_the_bits_of_the_matrix_built_levels(level_count, dimension):
+    for seed in (0, 9, 2**32 - 1):
+        levels = _matrix_built_levels(level_count, seed, dimension)
+        cim = ContinuousItemMemory.build(level_count, seed=seed, dimension=dimension)
+        assert cim.sign_bits.tobytes() == np.packbits(levels < 0, axis=1).tobytes()
+        assert not cim.sign_bits.flags.writeable
+
+
+def test_cim_build_peaks_under_one_mib_beyond_its_result():
+    # The whole int8 matrix alone would be 2.5 MB at this scale.
+    ContinuousItemMemory.build(250, seed=0, dimension=10_000)
+    tracemalloc.start()
+    try:
+        cim = ContinuousItemMemory.build(250, seed=0, dimension=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - cim.sign_bits.nbytes < 1024 * 1024
 
 
 def test_cim_arrays_are_read_only():
@@ -544,8 +582,137 @@ def test_am_similarities_in_blocks_match_cosine_similarity_bit_for_bit(w, dtype,
     for qi, (sim_a, sim_c) in zip(q, sims):
         assert sim_a.hex() == cosine_similarity(qi, pa).hex()
         assert sim_c.hex() == cosine_similarity(qi, pc).hex()
-    # Norms computed once beforehand, as the sweep passes them, give the same bits.
-    assert am._similarities(q, am._window_norms(q)).tobytes() == sims.tobytes()
+
+
+def _gate_row_by_row(rows, proto, count, gate):
+    """Row-by-row gate oracle: (admitted mask, prototype, count, row that raised or None)."""
+    mask = []
+    for i, row in enumerate(rows):
+        try:
+            admit = count == 0 or cosine_similarity(row, proto) < gate
+        except UndefinedSimilarityError:
+            return mask, proto, count, i
+        mask.append(admit)
+        if admit:
+            proto, count = proto + row, count + 1
+    return mask, proto, count, None
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    w=st.one_of(
+        st.sampled_from([*BLOCK_EDGES, 3 * _SCORE_ROWS, 3 * _SCORE_ROWS + 1]),
+        st.integers(min_value=0, max_value=3 * _SCORE_ROWS + 1),
+    ),
+    gate=st.sampled_from([-0.5, 0.3, 0.5, 2.0]),
+    dtype=st.sampled_from([np.int8, np.int16, np.int64]),
+    dim=st.integers(min_value=1, max_value=12),
+    trained=st.booleans(),
+    cancel_at=st.one_of(st.none(), st.integers(min_value=0, max_value=3 * _SCORE_ROWS)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(w=3 * _SCORE_ROWS + 1, gate=2.0, dtype=np.int8, dim=5, trained=False, cancel_at=_SCORE_ROWS + 2, seed=1)
+@example(w=2 * _SCORE_ROWS + 1, gate=0.3, dtype=np.int16, dim=9, trained=True, cancel_at=_SCORE_ROWS - 1, seed=2)
+@example(w=_SCORE_ROWS + 1, gate=-0.5, dtype=np.int64, dim=12, trained=True, cancel_at=None, seed=3)
+def test_am_offer_across_block_edges_matches_the_row_by_row_gate(
+    w, gate, dtype, dim, trained, cancel_at, seed
+):
+    # offer casts rows in blocks and carries each later row's dot forward
+    # after an admission; a row-by-row oracle sees none of that.  A row set
+    # to minus the prototype so far is admitted at every gate here (cosine
+    # -1) and cancels it, so the next row raises, mid-block or at an edge.
+    rng = np.random.default_rng(seed)
+    label = Label.CONTROL
+    start = rng.integers(-3, 4, size=dim) | 1 if trained else np.zeros(dim, dtype=np.int64)
+    rows = (rng.integers(-3, 4, size=(w, dim)) | 1).astype(dtype)
+    if cancel_at is not None and 0 < cancel_at < w:
+        _, proto, _, raised = _gate_row_by_row(rows[:cancel_at], start, int(trained), gate)
+        if raised is None and proto.any():
+            rows[cancel_at] = -proto
+    mask, proto, count, raised = _gate_row_by_row(rows, start, int(trained), gate)
+
+    def fresh():
+        if trained:
+            return AssociativeMemory.from_state(np.ones(dim), start, {Label.ADHD: 1, label: 1}, gate)
+        return AssociativeMemory(dim, gate)
+
+    am = fresh()
+    if raised is None:
+        assert am.offer(rows, label) == sum(mask)
+    else:
+        with pytest.raises(UndefinedSimilarityError, match="cancelled"):
+            am.offer(rows, label)
+    assert np.array_equal(am.prototype(label), proto)
+    assert am.bundle_count(label) == count
+    # Each prefix, offered whole to a fresh memory, admits what the oracle
+    # admitted up to it, and the first prefix that raises ends at the raising row.
+    admitted = 0
+    for k in range(1, w + 1):
+        if raised is not None and k > raised:
+            with pytest.raises(UndefinedSimilarityError, match="cancelled"):
+                fresh().offer(rows[:k], label)
+            break
+        now = fresh().offer(rows[:k], label)
+        assert now - admitted == mask[k - 1]
+        admitted = now
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.data())
+def test_score_each_change_matches_similarities_after_every_step(data):
+    # Up to 24 offers, so up to six batches of steps: each step's cosines
+    # must equal similarities() on a memory given the same offers, also
+    # after the running dots crossed batch edges.  Held-out rows may be
+    # all zeros and prototypes may cancel; either error must come at the
+    # step where similarities() would raise it, with its message.
+    dim = data.draw(st.integers(min_value=1, max_value=8), label="dim")
+    gate = data.draw(st.sampled_from([-0.5, 0.3, 0.5, 2.0]), label="gate")
+    dtype = data.draw(st.sampled_from([np.int8, np.int16, np.int64]), label="dtype")
+    values = st.lists(st.integers(min_value=-2, max_value=2), min_size=dim, max_size=dim)
+    offers = [
+        (np.array(rows, dtype=dtype), label)
+        for rows, label in data.draw(
+            st.lists(
+                st.tuples(st.lists(values.filter(any), min_size=1, max_size=5), st.sampled_from(list(Label))),
+                max_size=3 * _SCORE_ROWS,
+            ),
+            label="offers",
+        )
+    ]
+    held_out = [
+        np.array(rows, dtype=dtype).reshape(-1, dim)
+        for rows in data.draw(st.lists(st.lists(values, max_size=4), min_size=1, max_size=3), label="held_out")
+    ]
+
+    oracle, admitted, steps, error = AssociativeMemory(dim, gate), [], [], None
+    for vectors, label in offers:
+        try:
+            admitted.append(oracle.offer(vectors, label))
+            if not admitted[-1]:
+                continue
+            counts = (oracle.bundle_count(Label.ADHD), oracle.bundle_count(Label.CONTROL))
+            sims = [oracle.similarities(h) for h in held_out] if all(counts) else None
+        except UndefinedSimilarityError as raised:
+            error = str(raised)
+            break
+        steps.append((counts, sims))
+
+    scored = []
+    record = lambda counts, sims: scored.append((counts, sims))
+    if error is None:
+        assert score_each_change(AssociativeMemory(dim, gate), offers, held_out, record) == admitted
+        assert len(scored) == len(steps)
+    else:
+        with pytest.raises(UndefinedSimilarityError) as raised:
+            score_each_change(AssociativeMemory(dim, gate), offers, held_out, record)
+        assert str(raised.value) == error
+        assert len(scored) <= len(steps)
+    for (counts, sims), (want_counts, want_sims) in zip(scored, steps):
+        assert counts == want_counts
+        if want_sims is None:
+            assert sims is None
+            continue
+        assert [s.tobytes() for s in sims] == [s.tobytes() for s in want_sims]
 
 
 @pytest.mark.parametrize("w", [1, _SCORE_ROWS + 1, 2 * _SCORE_ROWS + 1, 2 * _SCORE_ROWS + 3])
