@@ -375,15 +375,13 @@ def score_each_change(memory: AssociativeMemory, offers, held_out, score) -> lis
     cancelled prototype raises UndefinedSimilarityError at the step that
     first scores it, as ``similarities`` would there.
 
-    Each step keeps its prototype's change, the sum of the rows it
-    admitted, in the narrowest integers that hold it (int8 for the paper's
-    two-channel windows, 10 KB at D = 10,000), and steps are
-    scored in batches of ``_SCORE_ROWS // 2``.  A batch casts its changes
-    to float64 once, and each held-out block of the other
-    ``_SCORE_ROWS // 2`` rows once, and multiplies the two, so together
-    they take one ``_SCORE_ROWS`` x D float64 block; it runs after the
-    offered matrix is released.  Each step's dots are the step before's
-    plus the product with its change.  Every dot and partial sum is an
+    Each step keeps the sum of the rows it admitted, its prototype's
+    change, in the narrowest integers that hold it (int8 for two-channel
+    windows), and steps are scored in batches of ``_SCORE_ROWS // 2``,
+    once the offered matrix is released.  A batch casts its changes to
+    float64 once and each held-out block of the other half block's rows
+    once, so the two take one ``_SCORE_ROWS`` x D float64 block, and adds
+    their products to the dots of the step before.  Every dot is an
     integer below 2**53, so each step's cosines equal ``similarities``
     bit for bit.
     """
