@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from hdeeg import (
-    AssociativeMemory,
     DatasetManifest,
     DataValidationError,
     EegRecording,
