@@ -9,14 +9,9 @@ D = 10,000, an eighth of the int8 matrix), and unpacks int8 rows only
 when they are asked for.
 AssociativeMemory keeps one integer-sum prototype per class and takes
 a patient's (W, D) window matrix whole: ``offer`` gates its rows in,
-``similarities`` scores them as (W, 2) cosines (ADHD, CONTROL).  Each
-casts a window to float64 once, in blocks into one reused buffer:
-``similarities`` ``_SCORE_ROWS`` rows at a time, so its temporary is
-8 x D float64 whatever W is, and ``offer`` half that many, carrying the
-later rows' dots forward after each admission instead of scoring a row
-per call.  ``score_each_change`` runs a sweep's training offers and
-scores its fixed held-out set after every change, casting each held-out
-window once per batch of ``_SCORE_ROWS // 2`` changes.
+``similarities`` scores them as (W, 2) cosines (ADHD, CONTROL), and
+``score_each_change`` scores a sweep's held-out set after each change.
+Each casts a window to float64 once, in blocks of at most 8 x D.
 """
 
 import math
@@ -154,13 +149,9 @@ class ContinuousItemMemory:
 
     @classmethod
     def build(cls, level_count: int, seed: int, dimension: int) -> "ContinuousItemMemory":
-        """Draw the level memory straight into packed sign bits.
-
-        Component j of level k is flipped from level 0 when its place in
-        the flip ordering is below level k's flip count, so the sign bits
-        are set _LEVEL_BLOCK levels at a time and no (levels, D) matrix is
-        made.
-        """
+        """Set the levels' packed sign bits _LEVEL_BLOCK levels at a time:
+        component j of level k is flipped when its place in the flip
+        ordering is below level k's flip count."""
         if level_count < 2:
             raise ValueError(f"need at least 2 levels, got {level_count}")
         if dimension < 2 or dimension % 2 != 0:
@@ -277,24 +268,13 @@ class AssociativeMemory:
         The matrix is checked before any row is bundled, so a rejected one
         leaves the memory as it was.  Returns how many rows were admitted.
 
-        Rows are cast to float64 ``_SCORE_ROWS // 2`` at a time, and each
-        block's squared norms and dots with the prototype are taken in one
-        call each.  An admission adds the admitted row's dot with every
-        later row of the block to their dots, and 2 * dot + its squared
-        norm to the prototype's, so each row still meets the prototype the
-        rows before it left; the next block's dots are taken from that
-        prototype.  The half block keeps a sweep's peak where it was: the
-        caller's matrix is alive during the call, and a whole block beside
-        it raised ``hdeeg sweep``'s own peak by 0.25 MiB.  Precondition:
-        prototype components, squared norms and dot products stay below
-        2**53 in magnitude, so the float64 sums are exact and every cosine
-        equals hv.cosine_similarity bit for bit.
+        Rows are cast half a scoring block at a time (the caller's matrix
+        is alive too), and an admission adds its row's dots to the later
+        rows' dots and the prototype's squared norm.  Precondition: every
+        component, squared norm and dot stays below 2**53 in magnitude, so
+        the float64 sums are exact and each cosine is the one
+        hv.cosine_similarity gives.
         """
-        return self._offer(vectors, label)[0]
-
-    def _offer(self, vectors: np.ndarray, label: Label, sum_admitted: bool = False) -> tuple:
-        """offer()'s admitted count, and with ``sum_admitted`` the exact sum of
-        the admitted rows (else None) in the narrowest signed dtype that holds it."""
         label = Label(label)
         vectors = np.asarray(vectors)
         if vectors.ndim != 2 or vectors.shape[1] != self._dimension:
@@ -303,7 +283,6 @@ class AssociativeMemory:
             raise ValueError("prototype updates take integer vectors")
         if not vectors.any(axis=1).all():
             raise ValueError("cannot accumulate an all-zero vector")
-        change = np.zeros(self._dimension) if sum_admitted else None
         row = _LABELS.index(label)
         proto = self._prototypes[row]
         square, norm = float(proto @ proto), float(self._norms[row])
@@ -324,13 +303,7 @@ class AssociativeMemory:
                 self._counts[label] += 1
                 for j, extra in enumerate((qf[i + 1 :] @ qf[i]).tolist(), i + 1):
                     dots[j] += extra
-                if change is not None:
-                    change += qf[i]
-        if change is not None:
-            # -(hi + 1) needs as wide a type as +hi does.
-            lo, hi = int(change.min()), int(change.max())
-            change = change.astype(np.min_scalar_type(min(lo, -hi - 1)))
-        return self._counts[label] - before, change
+        return self._counts[label] - before
 
     def similarities(self, vectors: np.ndarray) -> np.ndarray:
         """Cosines of each row of ``vectors`` to both prototypes, as (W, 2) float64.
@@ -355,8 +328,7 @@ class AssociativeMemory:
         qn = np.empty(len(vectors))
         dots = np.empty((len(vectors), len(_LABELS)))
         for start, qf in _cast_blocks(vectors, _SCORE_ROWS):
-            # From the block already cast: having einsum cast the integer
-            # rows again made a one-row gate call 1.6 times as slow.
+            # From the block already cast, not by casting the rows again.
             qn[start : start + len(qf)] = np.sqrt(np.einsum("ij,ij->i", qf, qf))
             np.matmul(qf, self._prototypes.T, out=dots[start : start + len(qf)])
         _check_norms(qn, self._norms)
@@ -367,29 +339,18 @@ def score_each_change(memory: AssociativeMemory, offers, held_out, score) -> lis
     """Offer each (vectors, label) of ``offers`` to ``memory`` in order, scoring
     the fixed ``held_out`` matrices after every offer that changed the memory.
 
-    Returns each offer's admitted count.  ``score(counts, sims)`` is called
-    once per offer that admitted rows (a step), steps in order: ``counts``
-    are the (ADHD, CONTROL) bundle counts after it, and ``sims`` the
-    held-out matrices' (W, 2) cosines as ``similarities`` returns them, or
-    None while a prototype is empty.  An all-zero held-out row or a
-    cancelled prototype raises UndefinedSimilarityError at the step that
-    first scores it, as ``similarities`` would there.
-
-    Each step keeps the sum of the rows it admitted, its prototype's
-    change, in the narrowest integers that hold it (int8 for two-channel
-    windows), and steps are scored in batches of ``_SCORE_ROWS // 2``,
-    once the offered matrix is released.  A batch casts its changes to
-    float64 once and each held-out block of the other half block's rows
-    once, so the two take one ``_SCORE_ROWS`` x D float64 block, and adds
-    their products to the dots of the step before.  Every dot is an
-    integer below 2**53, so each step's cosines equal ``similarities``
-    bit for bit.
+    Returns each offer's admitted count, and calls ``score(counts, sims)``
+    per offer that admitted rows (a step), in order: the bundle counts and
+    the held-out cosines ``similarities`` would give, or None while a
+    prototype is empty, raising its errors at the same step.  Each step's
+    prototype change is kept as narrow integers; a batch of
+    ``_SCORE_ROWS // 2`` steps casts each held-out window once and adds
+    the exact integer products to the previous step's dots.
     """
     held_out = [np.asarray(vectors) for vectors in held_out]
     for vectors in held_out:
         if vectors.ndim != 2 or vectors.shape[1] != memory.dimension:
             raise ValueError(f"expected shape (W, {memory.dimension}), got {vectors.shape}")
-    # einsum casts the integer rows through its own small buffer.
     norms = [np.sqrt(np.einsum("ij,ij->i", v, v, dtype=np.float64)) for v in held_out]
     # Each matrix's dots with both prototypes as of the last scored step.
     dots = [np.zeros((len(vectors), len(_LABELS))) for vectors in held_out]
@@ -414,16 +375,20 @@ def score_each_change(memory: AssociativeMemory, offers, held_out, score) -> lis
 
     admitted = []
     for vectors, label in offers:
-        n, change = memory._offer(vectors, label, sum_admitted=True)
-        admitted.append(n)
+        row = _LABELS.index(Label(label))
+        before = memory._prototypes[row].copy()
+        admitted.append(memory.offer(vectors, label))
         del vectors
-        if not n:
+        if not admitted[-1]:
             continue
+        change = memory._prototypes[row] - before
+        lo, hi = int(change.min()), int(change.max())  # -hi - 1 needs +hi's width
+        change = change.astype(np.min_scalar_type(min(lo, -hi - 1)))
         counts = tuple(memory._counts[lab] for lab in _LABELS)
         if all(counts):
             for qn in norms:
                 _check_norms(qn, memory._norms)
-        steps.append((_LABELS.index(Label(label)), change, memory._norms.copy(), counts))
+        steps.append((row, change, memory._norms.copy(), counts))
         if len(steps) == _SCORE_ROWS // 2:
             score_steps()
     if steps:
