@@ -12,7 +12,6 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from itertools import accumulate
 
 import numpy as np
 
@@ -501,15 +500,12 @@ def incremental_sweep(
         )
         im, cim = build_memories(params_r, manifest.channels)
         test_encodings = [encode_windows(q, im, cim, params_r.ngram_size) for q in q_test]
-        scored = []
-        admitted = score_each_change(
+        accuracies = score_each_change(
             AssociativeMemory(params_r.dimension, params_r.gate_threshold),
             ((encode_windows(q, im, cim, params_r.ngram_size), q.label) for q in q_train),
             test_encodings,
-            lambda counts, sims: scored.append(_sweep_accuracy(q_test, counts, sims)),
+            lambda counts, sims: _sweep_accuracy(q_test, counts, sims),
         )
-        # The first patient always admits its first window, so it is a step.
-        accuracies = [scored[step - 1] for step in accumulate(n > 0 for n in admitted)]
         return SweepRun(
             run_seed=run_seed,
             test_ids=tuple(test_ids),

@@ -289,7 +289,7 @@ class AssociativeMemory:
         before = self._counts[label]
         for _, qf in _cast_blocks(vectors, _SCORE_ROWS // 2):
             # Python floats round each product, quotient and root as numpy does.
-            squares = np.vecdot(qf, qf).tolist()
+            squares = np.einsum("ij,ij->i", qf, qf).tolist()
             dots = (qf @ proto).tolist()
             for i, (dot, row_square) in enumerate(zip(dots, squares)):
                 if self._counts[label]:
@@ -336,17 +336,20 @@ class AssociativeMemory:
 
 
 def score_each_change(memory: AssociativeMemory, offers, held_out, score) -> list:
-    """Offer each (vectors, label) of ``offers`` to ``memory`` in order, scoring
-    the fixed ``held_out`` matrices after every offer that changed the memory.
+    """Offer each (vectors, label) of ``offers`` to an empty ``memory`` in
+    order and return one score per offer.
 
-    Returns each offer's admitted count, and calls ``score(counts, sims)``
-    per offer that admitted rows (a step), in order: the bundle counts and
-    the held-out cosines ``similarities`` would give, or None while a
-    prototype is empty, raising its errors at the same step.  Each step's
-    prototype change is kept as narrow integers; a batch of
-    ``_SCORE_ROWS // 2`` steps casts each held-out window once and adds
-    the exact integer products to the previous step's dots.
+    The first offer and each one that admitted rows (a step) get
+    ``score(counts, sims)``, called in order, of the bundle counts and the
+    held-out cosines ``similarities`` would give, or None while a
+    prototype is empty; its errors are raised at the same step.  Any
+    other offer left the memory as it was, so it repeats the score
+    before it.  Each step's prototype change is kept as narrow integers;
+    a batch of ``_SCORE_ROWS // 2`` steps casts each held-out window once
+    and adds the exact integer products to the previous step's dots.
     """
+    if any(memory._counts.values()):
+        raise ValueError("score_each_change needs an empty memory")
     held_out = [np.asarray(vectors) for vectors in held_out]
     for vectors in held_out:
         if vectors.ndim != 2 or vectors.shape[1] != memory.dimension:
@@ -354,7 +357,7 @@ def score_each_change(memory: AssociativeMemory, offers, held_out, score) -> lis
     norms = [np.sqrt(np.einsum("ij,ij->i", v, v, dtype=np.float64)) for v in held_out]
     # Each matrix's dots with both prototypes as of the last scored step.
     dots = [np.zeros((len(vectors), len(_LABELS))) for vectors in held_out]
-    steps = []
+    scores, steps, step_of_offer = [], [], []
 
     def score_steps():
         changes = np.array([change for _, change, _, _ in steps], dtype=np.float64)
@@ -370,30 +373,29 @@ def score_each_change(memory: AssociativeMemory, offers, held_out, score) -> lis
             sims = None
             if all(counts):
                 sims = [d / (qn[:, np.newaxis] * pn) for d, qn in zip(dots, norms)]
-            score(counts, sims)
+            scores.append(score(counts, sims))
         steps.clear()
 
-    admitted = []
     for vectors, label in offers:
         row = _LABELS.index(Label(label))
         before = memory._prototypes[row].copy()
-        admitted.append(memory.offer(vectors, label))
+        admitted = memory.offer(vectors, label)
         del vectors
-        if not admitted[-1]:
-            continue
-        change = memory._prototypes[row] - before
-        lo, hi = int(change.min()), int(change.max())  # -hi - 1 needs +hi's width
-        change = change.astype(np.min_scalar_type(min(lo, -hi - 1)))
-        counts = tuple(memory._counts[lab] for lab in _LABELS)
-        if all(counts):
-            for qn in norms:
-                _check_norms(qn, memory._norms)
-        steps.append((row, change, memory._norms.copy(), counts))
-        if len(steps) == _SCORE_ROWS // 2:
-            score_steps()
+        if admitted or not step_of_offer:
+            change = memory._prototypes[row] - before
+            lo, hi = int(change.min()), int(change.max())  # -hi - 1 needs +hi's width
+            change = change.astype(np.min_scalar_type(min(lo, -hi - 1)))
+            counts = tuple(memory._counts[lab] for lab in _LABELS)
+            if all(counts):
+                for qn in norms:
+                    _check_norms(qn, memory._norms)
+            steps.append((row, change, memory._norms.copy(), counts))
+            if len(steps) == _SCORE_ROWS // 2:
+                score_steps()
+        step_of_offer.append(len(scores) + len(steps) - 1)
     if steps:
         score_steps()
-    return admitted
+    return [scores[step] for step in step_of_offer]
 
 
 def _cast_blocks(vectors: np.ndarray, rows: int):

@@ -705,10 +705,9 @@ def test_sweep_scores_only_after_the_memory_changed(
 
         def recording_score(counts, sims):
             run["counts"].append(counts)
-            score(counts, sims)
+            return score(counts, sims)
 
-        run["admitted"] = real_score_each_change(memory, offers, held_out, recording_score)
-        return run["admitted"]
+        return real_score_each_change(memory, offers, held_out, recording_score)
 
     def counting_cast_blocks(vectors, rows):
         for start, block in real_cast_blocks(vectors, rows):
@@ -726,11 +725,10 @@ def test_sweep_scores_only_after_the_memory_changed(
     batch = _SCORE_ROWS // 2
     batches = 0
     for run, seen in zip(result.runs, runs):
-        steps = sum(1 for n in seen["admitted"] if n > 0)
+        steps = len(seen["counts"])
         assert seen["cast"] == test_rows * -(-steps // batch)
         batches += -(-steps // batch)
         # No step repeats the bundle counts of the step before it.
-        assert len(seen["counts"]) == steps
         assert all(a != b for a, b in zip(seen["counts"], seen["counts"][1:]))
         # The steps that score both classes are the prefixes whose trained
         # model has new bundle counts.

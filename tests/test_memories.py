@@ -684,35 +684,52 @@ def test_score_each_change_matches_similarities_after_every_step(data):
         for rows in data.draw(st.lists(st.lists(values, max_size=4), min_size=1, max_size=3), label="held_out")
     ]
 
-    oracle, admitted, steps, error = AssociativeMemory(dim, gate), [], [], None
+    def result(counts, sims):
+        return counts, None if sims is None else [s.tobytes() for s in sims]
+
+    oracle, results, steps, error = AssociativeMemory(dim, gate), [], [], None
     for vectors, label in offers:
         try:
-            admitted.append(oracle.offer(vectors, label))
-            if not admitted[-1]:
+            if not oracle.offer(vectors, label):
+                # A fresh memory's first offer always admits, so results[-1] exists.
+                results.append(results[-1])
                 continue
             counts = (oracle.bundle_count(Label.ADHD), oracle.bundle_count(Label.CONTROL))
             sims = [oracle.similarities(h) for h in held_out] if all(counts) else None
         except UndefinedSimilarityError as raised:
             error = str(raised)
             break
-        steps.append((counts, sims))
+        steps.append(result(counts, sims))
+        results.append(steps[-1])
 
     scored = []
-    record = lambda counts, sims: scored.append((counts, sims))
+    record = lambda counts, sims: scored.append(result(counts, sims)) or scored[-1]
     if error is None:
-        assert score_each_change(AssociativeMemory(dim, gate), offers, held_out, record) == admitted
+        assert score_each_change(AssociativeMemory(dim, gate), offers, held_out, record) == results
         assert len(scored) == len(steps)
     else:
         with pytest.raises(UndefinedSimilarityError) as raised:
             score_each_change(AssociativeMemory(dim, gate), offers, held_out, record)
         assert str(raised.value) == error
-        assert len(scored) <= len(steps)
-    for (counts, sims), (want_counts, want_sims) in zip(scored, steps):
-        assert counts == want_counts
-        if want_sims is None:
-            assert sims is None
-            continue
-        assert [s.tobytes() for s in sims] == [s.tobytes() for s in want_sims]
+    # score is called once per step, in order, and for no other offer.
+    assert scored == steps[: len(scored)]
+
+
+def test_score_each_change_scores_the_first_offer_even_when_it_admits_nothing():
+    # An offer that admits nothing repeats the score before it; the first
+    # one has none before it, so it is scored.
+    dim, scored = 4, []
+    record = lambda counts, sims: scored.append(counts) or len(scored)
+    offers = [(np.zeros((0, dim), dtype=np.int8), Label.ADHD), (np.ones((1, dim), dtype=np.int8), Label.ADHD)]
+    assert score_each_change(AssociativeMemory(dim), offers, [np.ones((1, dim))], record) == [1, 2]
+    assert scored == [(0, 0), (1, 0)]
+
+
+def test_score_each_change_needs_an_empty_memory():
+    # Its running dots start at zero, which only an empty memory's are.
+    am = AssociativeMemory.from_state([1, 0], [0, 1], {Label.ADHD: 1, Label.CONTROL: 0}, 0.5)
+    with pytest.raises(ValueError, match="empty memory"):
+        score_each_change(am, [], [np.ones((1, 2))], lambda counts, sims: None)
 
 
 @pytest.mark.parametrize("w", [1, _SCORE_ROWS + 1, 2 * _SCORE_ROWS + 1, 2 * _SCORE_ROWS + 3])
