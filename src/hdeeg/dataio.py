@@ -17,7 +17,8 @@ A value is any text Python's float() accepts; blank lines are rejected.
 Written files hold the bytes of one repr per value, row by row, so
 write-then-load round-trips exactly.  Float64 blocks get those bytes from
 a numpy formatter that computes repr's shortest digits exactly for most
-values and calls repr for the rest (see _format_floats).
+values and calls repr for the rest (see _format_floats), and files of that
+shape are read back exactly in numpy (see _read_floats).
 """
 
 import functools
@@ -46,8 +47,8 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
-# Rows formatted per write: enough to keep the per-call cost small, few
-# enough that a block's layout and text stay near 100 KB.
+# Rows formatted per write or read: enough to keep the per-call cost
+# small, few enough that a block's layout and text stay near 100 KB.
 _CSV_BLOCK_ROWS = 1024
 _JSON_TYPES = {str: "string", list: "list"}
 
@@ -230,7 +231,8 @@ def load_dataset(path, ids=None):
     """Load a dataset directory.
 
     Returns (manifest, recordings); recordings keep manifest order and are
-    validated for shape, finite values, and header consistency.
+    validated for shape, finite values, and header consistency.  Each
+    value is float()'s, bit for bit (see :func:`_read_patient`).
 
     With ``ids``, recordings come back only for those patients, and only
     their values are parsed; an id the manifest lacks is a
@@ -254,22 +256,104 @@ def load_dataset(path, ids=None):
     recordings = []
     lengths = set()
     for patient in manifest.patients:
-        rows = _data_rows(root / patient.path, patient, manifest.channels)
-        lengths.add(len(rows))
-        if wanted is None or patient.id in wanted:
+        parse = wanted is None or patient.id in wanted
+        rows, samples = _read_patient(root / patient.path, patient, manifest.channels, parse)
+        lengths.add(rows)
+        if parse:
             recordings.append(
                 EegRecording(
                     patient_id=patient.id,
                     label=patient.label,
                     channels=manifest.channels,
-                    samples=_parse_rows(rows, patient, manifest.channels),
+                    samples=samples,
                     sample_rate_hz=manifest.sample_rate_hz,
                 )
             )
-        del rows  # one file's lines in memory at a time, not two
     if len(lengths) > 1:
         raise DataValidationError(f"recordings disagree on sample count: {sorted(lengths)}")
     return manifest, recordings
+
+
+_BODY_BYTES = b"0123456789.-,\n"
+_TO_DIGITS = bytes.maketrans(b"\n", b",")
+
+
+def _read_patient(path: Path, patient: PatientEntry, channels, parse: bool):
+    """(data rows, samples or None unless ``parse``) of a patient CSV.
+
+    The exact header, then _BODY_BYTES ending in a newline: one row per
+    newline, read by _read_floats.  Else, or if it declines, the row parser.
+    """
+    data, head = path.read_bytes(), (",".join(channels) + "\n").encode("utf-8")
+    plain = data.translate(None, _BODY_BYTES) == head.translate(None, _BODY_BYTES)
+    if plain and data.startswith(head) and data.endswith(b"\n") and len(data) > len(head):
+        if not parse:
+            return data.count(b"\n") - 1, None
+        samples = _read_floats(data, len(channels))
+        if samples is not None:
+            _check_finite(patient.id, samples, channels)
+            return len(samples), samples
+    del data
+    rows = _data_rows(path, patient, channels)
+    return len(rows), _parse_rows(rows, patient, channels) if parse else None
+
+
+def _read_floats(data: bytes, n_ch: int):
+    """The (rows, n_ch) values after a header line, as float() reads them.
+
+    None unless each row holds n_ch fields of [-]digits.digits.  Reads
+    _CSV_BLOCK_ROWS rows at a time; a field of digits m, k after the point,
+    is m / 10**k, and float() reads the few it cannot decide exactly.
+    """
+    text = np.frombuffer(data, np.uint8)
+    lines = np.flatnonzero(text == 10)  # the header's newline, then each row's
+    out = np.empty((len(lines) - 1, n_ch))
+    for r0 in range(0, len(out), _CSV_BLOCK_ROWS):
+        r1 = min(r0 + _CSV_BLOCK_ROWS, len(out))
+        lo = lines[r0] + 1
+        block = text[lo : lines[r1] + 1]
+        marks = np.flatnonzero(block < 48)  # every byte but the digits
+        kind = block[marks]
+        ends = marks[kind <= 44]  # ',' or '\n'
+        dots = marks[kind == 46]
+        n = (r1 - r0) * n_ch
+        if len(ends) != n or len(dots) != n or (block[ends[n_ch - 1 :: n_ch]] != 10).any():
+            return None
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        neg = block[starts] == 45
+        k = ends - dots - 1
+        digits = dots - starts - neg
+        if np.count_nonzero(neg) != len(marks) - 2 * n or min(digits.min(), k.min()) < 1:
+            return None
+        m = np.fromstring(data[lo : lines[r1]].translate(_TO_DIGITS, b".-"), np.int64, sep=",")
+        slow = digits + k > 18
+        m[slow] = k[slow] = 0
+        p = _POW10[k]
+        fm = m.astype(np.float64)
+        q = fm / p
+        hi = q * p
+        qh = q * 134217729.0  # 2**27 + 1
+        qh -= qh - q
+        ql = q - qh
+        ph, pl = _POW10_HI[k], _POW10_LO[k]
+        # r = m - q * 10**k exactly, as (m - fl(m)) + (fl(m) - hi) - lo: hi + lo
+        # is q * 10**k by Dekker's TwoProduct, fl(m) - hi exact by Sterbenz.
+        r = (m - fm.astype(np.int64)) + ((fm - hi) - (((qh * ph - hi) + qh * pl + ql * ph) + ql * pl))
+        # q lies within 1.5 gaps of m / 10**k.  In gaps times 10**k, q is
+        # nearest while |r| < 1/2 and the next double toward the value while
+        # |r| < 5/4, short of the midpoint beyond it.  float() reads fields of
+        # over 18 digits and those with |r| within _BAND of either bound.
+        # q >= 0, so that next double is one bit pattern on.
+        step = (q.view(np.int64) + np.where(r < 0, -1, 1)).view(np.float64)
+        r = np.abs(r) / np.abs((step - q) * p)
+        slow |= (np.abs(r - 0.5) <= _BAND) | (r >= 1.25 - _BAND)
+        np.copyto(q, step, where=r > 0.5)
+        np.negative(q, out=q, where=neg)
+        flat = out.reshape(-1)[r0 * n_ch :]
+        flat[:n] = q
+        for i in np.flatnonzero(slow).tolist():
+            flat[i] = float(data[lo + starts[i] : lo + ends[i]])
+    return out
 
 
 def write_dataset(root, manifest: DatasetManifest, recordings) -> None:

@@ -120,24 +120,22 @@ def drop_initial(rec: EegRecording, drop_samples: int) -> EegRecording:
     return replace(rec, samples=rec.samples[drop_samples:])
 
 
-def _nearest_rank(sorted_pool: np.ndarray, pct: float) -> float:
-    # Nearest-rank percentile: value at rank ceil(pct/100 * n) (1-based),
-    # clamped to the first element for pct = 0.
-    n = sorted_pool.shape[0]
-    rank = min(max(math.ceil(pct * n / 100.0), 1), n)
-    return float(sorted_pool[rank - 1])
+def _nearest_rank(n: int, pct: float) -> int:
+    # Nearest-rank percentile: rank ceil(pct/100 * n) (1-based), clamped to
+    # the first element for pct = 0; returned 0-based.
+    return min(max(math.ceil(pct * n / 100.0), 1), n) - 1
 
 
 def compute_channel_stats(recordings, clip_low_pct: float = 0.5, clip_high_pct: float = 99.5):
     """Per-channel range [low, high] over a pool.
 
     Samples of all recordings are pooled per channel.  Clip thresholds are
-    nearest-rank percentiles of the pool; the quantization range is the
-    observed [min, max] of the pooled samples after clipping, which is the
-    clip thresholds themselves: both are elements of the pool with low <=
-    high, so clipping maps the pool's extremes onto them.  So one range
-    serves both, and the result is a tuple of ChannelStats(channel, low,
-    high) in channel order.
+    nearest-rank percentiles of the pool, -0.0 ranked before +0.0; the
+    quantization range is the observed [min, max] of the pooled samples
+    after clipping, which is the clip thresholds themselves: both are
+    elements of the pool with low <= high, so clipping maps the pool's
+    extremes onto them.  So one range serves both, and the result is a
+    tuple of ChannelStats(channel, low, high) in channel order.
     """
     recordings = list(recordings)
     if not recordings:
@@ -155,10 +153,16 @@ def compute_channel_stats(recordings, clip_low_pct: float = 0.5, clip_high_pct: 
     stats = []
     for ci, name in enumerate(channels):
         pool = np.concatenate([rec.samples[:, ci] for rec in recordings])
-        pool.sort()
-        lo = _nearest_rank(pool, clip_low_pct)
-        hi = _nearest_rank(pool, clip_high_pct)
-        stats.append(ChannelStats(name, lo, hi))
+        ranks = [_nearest_rank(len(pool), pct) for pct in (clip_low_pct, clip_high_pct)]
+        pool.partition(ranks)
+        # Equal values leave a partition in any order; a zero at a rank is
+        # -0.0 when that many values have the sign bit set.
+        low, high = (
+            float(pool[r]) or (-0.0 if r < np.count_nonzero(np.signbit(pool)) else 0.0)
+            for r in ranks
+        )
+        stats.append(ChannelStats(name, low, high))
+        del pool  # one channel's pool alive at a time
     return tuple(stats)
 
 

@@ -1,7 +1,10 @@
 """Dataset round-trips, CSV validation, synthetic fixtures, splits."""
 
+import decimal
 import json
+import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -15,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hdeeg
+from hdeeg import dataio
 from hdeeg import (
     DatasetManifest,
     DataValidationError,
@@ -587,23 +591,57 @@ def test_load_dataset_ids_parse_only_those_patients(tmp_path, monkeypatch):
     m = tiny_manifest(n_per_class=3)
     write_dataset(tmp_path, m, tiny_recordings(m))
     full_manifest, full = load_dataset(tmp_path)
+    # CRLF rows send a file to the row parser, so both readers are counted.
+    for pid in ("a0", "c0"):
+        csv = tmp_path / f"patients/{pid}.csv"
+        csv.write_bytes(csv.read_bytes().replace(b"\n", b"\r\n"))
     parsed = []
-    loadtxt = np.loadtxt
+    read_floats, parse_rows = dataio._read_floats, dataio._parse_rows
 
-    def counting_loadtxt(rows, *args, **kwargs):
-        parsed.append(rows)
-        return loadtxt(rows, *args, **kwargs)
+    def counting_read_floats(data, n_ch):
+        samples = read_floats(data, n_ch)
+        if samples is not None:
+            parsed.append("fast")
+        return samples
 
-    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    def counting_parse_rows(rows, patient, channels):
+        parsed.append("rows")
+        return parse_rows(rows, patient, channels)
+
+    monkeypatch.setattr(dataio, "_read_floats", counting_read_floats)
+    monkeypatch.setattr(dataio, "_parse_rows", counting_parse_rows)
     ids = ["c2", "a1", "c0"]
     manifest, some = load_dataset(tmp_path, ids=ids)
     assert len(parsed) == len(ids)
+    assert sorted(parsed) == ["fast", "fast", "rows"]
     assert manifest == full_manifest
     assert [r.patient_id for r in some] == ["a1", "c0", "c2"]
     by_id = {r.patient_id: r for r in full}
     for rec in some:
         assert rec.label is by_id[rec.patient_id].label
         assert np.array_equal(rec.samples, by_id[rec.patient_id].samples)
+
+
+def test_load_dataset_reads_write_csv_files_without_the_row_parser(tmp_path, monkeypatch):
+    # A paper-scale dataset as write_dataset leaves it, with no value below
+    # 1e-4 (which repr writes with an exponent), takes the exact reader: a
+    # silent fall back to np.loadtxt or the row scanner fails here.
+    manifest, recordings = generate_synthetic(SyntheticSpec(patients_per_class=1, seed=3))
+    write_dataset(tmp_path, manifest, recordings)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a write_csv file went to the row parser")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    monkeypatch.setattr(dataio, "_scan_rows", refuse)
+    _, loaded = load_dataset(tmp_path)
+    for rec, back in zip(recordings, loaded):
+        assert back.samples.tobytes() == rec.samples.tobytes()
+
+
+# Every character str.splitlines splits on besides "\n".
+_LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_BAD_HEADER = "a0: header ('F4',) does not match manifest channels ('F4', 'Cz')"
 
 
 @pytest.mark.parametrize(
@@ -614,8 +652,19 @@ def test_load_dataset_ids_parse_only_those_patients(tmp_path, monkeypatch):
         ("F4,Cz\n", "a0: no samples"),
         ("F4,Cz\n1.0,2.0\n", "sample count: \\[1, 16\\]"),
         ("F4,Cz\n" + "1.0,2.0\n" * 15 + "\u2028\n", "sample count: \\[16, 17\\]"),
+        *[
+            ("F4,Cz\n" + "1.0,2.0\n" * 15 + f"1.0{c}2.0\n",
+             "^" + re.escape("recordings disagree on sample count: [16, 17]") + "$")
+            for c in _LINE_BREAKS
+        ],
+        *[
+            (f"F4{c},Cz\n" + "1.0,2.0\n" * 16, "^" + re.escape(_BAD_HEADER) + "$")
+            for c in _LINE_BREAKS
+        ],
     ],
-    ids=["header", "empty", "header_only", "short", "unicode_line_break"],
+    ids=["header", "empty", "header_only", "short", "unicode_line_break"]
+    + [f"body_{ord(c):x}" for c in _LINE_BREAKS]
+    + [f"header_{ord(c):x}" for c in _LINE_BREAKS],
 )
 def test_load_dataset_ids_still_check_other_patients_files(tmp_path, text, match):
     root = write_patient_csv(tmp_path, text)
@@ -765,6 +814,59 @@ def test_load_dataset_matches_row_parser_oracle(one_patient_dataset, text):
     assert recording.samples.dtype == np.float64
     assert recording.samples.shape == expected.shape
     assert recording.samples.tobytes() == expected.tobytes()
+
+
+# ------------------------------------------------ exact reader vs float()
+# _read_floats must give float()'s value of every field bit for bit,
+# whether it decides the rounding itself or hands the field to float().
+
+
+def _midpoint_text(x):
+    """The exact midpoint of x and the next double up, cut to 18 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200
+        mid = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
+    whole, _, frac = format(mid, "f").partition(".")
+    return f"{whole}.{(frac + '0')[: max(18 - len(whole), 1)]}"
+
+
+_SIGNS = st.sampled_from(["", "-"])
+_FIXED_FIELDS = st.one_of(
+    # repr writes these in fixed notation.
+    st.builds(lambda sign, x: sign + repr(x), _SIGNS,
+              st.floats(1e-4, 1e16, exclude_max=True)),
+    st.builds(lambda sign, zeros, whole, frac: f"{sign}{zeros}{whole}.{frac}", _SIGNS,
+              st.sampled_from(["", "0", "000"]), st.text("0123456789", min_size=1, max_size=11),
+              st.text("0123456789", min_size=1, max_size=11)),
+    st.sampled_from(["0.0", "-0.0", "0.000", "-00.0"]),
+    # Ties and near-ties: exact where the midpoint has at most 18 digits.
+    st.builds(lambda sign, x: sign + _midpoint_text(x), _SIGNS,
+              st.floats(1e-4, 1e17, exclude_max=True) | st.floats(2.0**50, 1e17, exclude_max=True)),
+)
+
+
+@st.composite
+def fixed_notation_files(draw):
+    """(channels, cells): cells repeat a drawn list of fields, row by row."""
+    n_ch = draw(st.sampled_from([1, 3]))
+    rows = draw(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]))
+    fields = draw(st.lists(_FIXED_FIELDS, min_size=1, max_size=40))
+    return n_ch, [fields[i % len(fields)] for i in range(rows * n_ch)]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=120, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=fixed_notation_files())
+@example(case=(1, ["9007199254740993.0", "-18014398509481986.0", "4503599627370497.5"]))
+def test_read_floats_matches_float_bit_for_bit(case):
+    n_ch, cells = case
+    rows = [",".join(cells[i : i + n_ch]) for i in range(0, len(cells), n_ch)]
+    header = ",".join(f"c{j}" for j in range(n_ch))
+    got = dataio._read_floats(("\n".join([header, *rows]) + "\n").encode(), n_ch)
+    assert got is not None
+    expected = np.array([float(c) for c in cells]).reshape(-1, n_ch)
+    assert got.tobytes() == expected.tobytes()
 
 
 # -------------------------------------------------------------- synthetic

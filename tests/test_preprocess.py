@@ -1,6 +1,9 @@
 """Signal chain: drop, percentile clip, downsample, quantize."""
 
 import math
+import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +174,80 @@ def test_channel_stats_match_oracle(values, low, high):
     assert (stats.low, stats.high) == (lo, hi)
     assert stats.low == min(clipped)
     assert stats.high == max(clipped)
+
+
+def _rank_value(pool, pct):
+    # The sorted pool's value at the nearest rank, -0.0 sorted before +0.0.
+    ordered = sorted(pool, key=lambda v: (v, math.copysign(1.0, v)))
+    rank = min(max(math.ceil(pct * len(ordered) / 100.0), 1), len(ordered))
+    return ordered[rank - 1]
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(
+    pools=st.lists(
+        st.lists(
+            st.integers(-3, 3).map(float) | st.floats(-1e4, 1e4, allow_nan=False),
+            min_size=1,
+            max_size=30,
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    zero=st.sampled_from([0.0, -0.0]),
+    low=st.sampled_from([0.0, 0.5, 50.0]) | st.floats(0.0, 50.0),
+    high=st.sampled_from([100.0, 99.5, 50.5]) | st.floats(50.5, 100.0),
+)
+@example(pools=[[7.0]], zero=0.0, low=0.0, high=100.0)
+@example(pools=[[2.0, 2.0, 1.0], [2.0, 5.0]], zero=0.0, low=0.0, high=100.0)
+def test_channel_stats_bits_match_the_sorted_pool(pools, zero, low, high):
+    # Zeros of one sign only, so every sort puts the same bits at each rank.
+    pools = [[v if v != 0 else zero for v in pool] for pool in pools]
+    recs = [make_rec(pool, pid=f"p{i}") for i, pool in enumerate(pools)]
+    pooled = np.sort(np.concatenate(pools))
+    ranks = [min(max(math.ceil(pct * len(pooled) / 100.0), 1), len(pooled)) - 1
+             for pct in (low, high)]
+    lo, hi = (float(pooled[r]) for r in ranks)
+    if lo == hi:
+        with pytest.raises(DataValidationError, match=re.escape(f"range [{lo}, {hi}]")):
+            compute_channel_stats(recs, low, high)
+        return
+    (stats,) = compute_channel_stats(recs, low, high)
+    assert struct.pack("<2d", stats.low, stats.high) == struct.pack("<2d", lo, hi)
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(
+    values=st.lists(st.sampled_from([0.0, -0.0, -1.5, 2.5]), min_size=2, max_size=40),
+    low=st.floats(0.0, 99.0),
+)
+def test_channel_stats_rank_minus_zero_before_plus_zero(values, low):
+    rec = make_rec(values + [9.0])
+    lo = _rank_value(values + [9.0], low)
+    if lo == 9.0:
+        return
+    (stats,) = compute_channel_stats([rec], low, 100.0)
+    assert struct.pack("<d", stats.low) == struct.pack("<d", lo)
+    assert stats.high == 9.0
+
+
+def test_channel_stats_hold_one_pool_at_a_time():
+    rng = np.random.default_rng(0)
+    recs = [
+        make_rec(rng.normal(0, 30, size=(7168, 2)), channels=("F4", "Cz"), pid=f"p{i}")
+        for i in range(8)
+    ]
+    pool_bytes = 8 * 7168 * 8
+    compute_channel_stats(recs)
+    tracemalloc.start()
+    try:
+        compute_channel_stats(recs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Two pools alive at once, as when the next was built before the last
+    # was released, would be twice this.
+    assert peak < 1.25 * pool_bytes
 
 
 # ------------------------------------------------------------------- clip
