@@ -28,12 +28,18 @@ gathered ones (about 160 KiB each at that scale), not unpacked copies
 of every level.
 """
 
+import weakref
+
 import numpy as np
 
 from .memories import _LEVEL_BLOCK, ContinuousItemMemory, ItemMemory
 from .preprocess import QuantizedRecording
 
 __all__ = ["encode_windows"]
+
+# _level_table's tables by level memory, then by ngram size; an entry goes
+# with its memory.
+_LEVEL_TABLES = weakref.WeakKeyDictionary()
 
 
 def _row_bytes(dimension: int) -> int:
@@ -43,8 +49,9 @@ def _row_bytes(dimension: int) -> int:
 
 def _level_table(cim: ContinuousItemMemory, ngram_size: int) -> np.ndarray:
     """Read-only (8, levels, bytes) uint8 table; [r, k] is level k's packed
-    extended row shifted left by r bits.  Cached on ``cim`` per n."""
-    table = cim._packed_tables.get(ngram_size)
+    extended row shifted left by r bits.  Cached per ``cim`` and n."""
+    tables = _LEVEL_TABLES.setdefault(cim, {})
+    table = tables.get(ngram_size)
     if table is not None:
         return table
     d, m = cim.dimension, ngram_size - 1
@@ -61,7 +68,7 @@ def _level_table(cim: ContinuousItemMemory, ngram_size: int) -> np.ndarray:
         np.left_shift(packed[:, :-1], r, out=table[r])
         table[r] |= packed[:, 1:] >> (8 - r)
     table.flags.writeable = False
-    cim._packed_tables[ngram_size] = table
+    tables[ngram_size] = table
     return table
 
 

@@ -144,8 +144,6 @@ class ContinuousItemMemory:
         """Hold ``bits`` as the read-only packed sign bits of ``dimension``-wide levels."""
         self._bits, self._dimension = bits, dimension
         self._bits.flags.writeable = False
-        # Packed level tables of encoder._level_table, keyed by ngram size.
-        self._packed_tables: dict = {}
 
     @classmethod
     def build(cls, level_count: int, seed: int, dimension: int) -> "ContinuousItemMemory":

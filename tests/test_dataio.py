@@ -1,5 +1,6 @@
 """Dataset round-trips, CSV validation, synthetic fixtures, splits."""
 
+import collections
 import decimal
 import json
 import math
@@ -596,20 +597,20 @@ def test_load_dataset_ids_parse_only_those_patients(tmp_path, monkeypatch):
         csv = tmp_path / f"patients/{pid}.csv"
         csv.write_bytes(csv.read_bytes().replace(b"\n", b"\r\n"))
     parsed = []
-    read_floats, parse_rows = dataio._read_floats, dataio._parse_rows
+    read_floats, loadtxt = dataio._read_floats, np.loadtxt
 
-    def counting_read_floats(data, n_ch):
-        samples = read_floats(data, n_ch)
+    def counting_read_floats(data, n_ch, exp):
+        samples = read_floats(data, n_ch, exp)
         if samples is not None:
             parsed.append("fast")
         return samples
 
-    def counting_parse_rows(rows, patient, channels):
+    def counting_loadtxt(*args, **kwargs):
         parsed.append("rows")
-        return parse_rows(rows, patient, channels)
+        return loadtxt(*args, **kwargs)
 
     monkeypatch.setattr(dataio, "_read_floats", counting_read_floats)
-    monkeypatch.setattr(dataio, "_parse_rows", counting_parse_rows)
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
     ids = ["c2", "a1", "c0"]
     manifest, some = load_dataset(tmp_path, ids=ids)
     assert len(parsed) == len(ids)
@@ -622,21 +623,112 @@ def test_load_dataset_ids_parse_only_those_patients(tmp_path, monkeypatch):
         assert np.array_equal(rec.samples, by_id[rec.patient_id].samples)
 
 
-def test_load_dataset_reads_write_csv_files_without_the_row_parser(tmp_path, monkeypatch):
-    # A paper-scale dataset as write_dataset leaves it, with no value below
-    # 1e-4 (which repr writes with an exponent), takes the exact reader: a
-    # silent fall back to np.loadtxt or the row scanner fails here.
-    manifest, recordings = generate_synthetic(SyntheticSpec(patients_per_class=1, seed=3))
-    write_dataset(tmp_path, manifest, recordings)
-
+def refuse_the_row_parser(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a write_csv file went to the row parser")
 
     monkeypatch.setattr(np, "loadtxt", refuse)
     monkeypatch.setattr(dataio, "_scan_rows", refuse)
+
+
+def test_load_dataset_reads_write_csv_files_without_the_row_parser(tmp_path, monkeypatch):
+    # A paper-scale dataset as write_dataset leaves it takes the exact
+    # reader: a silent fall back to np.loadtxt or the row scanner fails here.
+    manifest, recordings = generate_synthetic(SyntheticSpec(patients_per_class=1, seed=3))
+    write_dataset(tmp_path, manifest, recordings)
+    refuse_the_row_parser(monkeypatch)
     _, loaded = load_dataset(tmp_path)
     for rec, back in zip(recordings, loaded):
         assert back.samples.tobytes() == rec.samples.tobytes()
+
+
+def test_load_dataset_reads_exponent_values_without_the_row_parser(tmp_path, monkeypatch):
+    # repr writes values below 1e-4 as -3.1e-05 and from 1e16 as 1.5e+16.
+    manifest, recordings = generate_synthetic(SyntheticSpec(patients_per_class=1, seed=3))
+    recordings[0].samples[[5, 2000, 7679], 0] = [3.1e-05, -7.25e-300, 5e-324]
+    recordings[1].samples[[0, 4000], 1] = [-9.5e-05, 1.5e16]
+    write_dataset(tmp_path, manifest, recordings)
+    refuse_the_row_parser(monkeypatch)
+    _, loaded = load_dataset(tmp_path)
+    for rec, back in zip(recordings, loaded):
+        assert back.samples.tobytes() == rec.samples.tobytes()
+
+
+def test_load_dataset_reads_channels_named_with_exponent_bytes_exactly(tmp_path, monkeypatch):
+    # Only the bytes after the header may be 'e' or '+'; the header is
+    # matched whole, so channels named like this change nothing.
+    m = tiny_manifest(channels=("Fe", "C+"))
+    recordings = tiny_recordings(m)
+    recordings[0].samples[2, 1] = 2e16
+    write_dataset(tmp_path, m, recordings)
+    refuse_the_row_parser(monkeypatch)
+    _, loaded = load_dataset(tmp_path)
+    for rec, back in zip(recordings, loaded):
+        assert back.samples.tobytes() == rec.samples.tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        ("1e-05\n1.0,2.0,3.0\n", "a0: row 16 has 1 values, expected 2; missing channel(s) ['Cz']"),
+        ("1e-05,2.0\n1.0,2e+\n", "a0: row 17 holds a non-numeric value"),
+        ("1e-05,2.0\n\n", "a0: row 17 has 1 values, expected 2; missing channel(s) ['Cz']"),
+        ("1e-05,+1.5\n3.0,1e999\n", "a0: non-finite value at sample 15, channel Cz"),
+    ],
+)
+def test_load_dataset_exponent_rows_float_refuses_get_the_row_parsers_error(tmp_path, rows, match):
+    root = write_patient_csv(tmp_path, "F4,Cz\n" + "1.0,2.0\n" * 14 + rows)
+    with pytest.raises(DataValidationError, match="^" + re.escape(match) + "$"):
+        load_dataset(root)
+
+
+def test_load_dataset_opens_each_patient_file_once(tmp_path, monkeypatch):
+    # Exact-reader, exponent, CRLF and spaced-header files, parsed or only
+    # checked: whichever path a file takes, it is read from disk once.
+    m = tiny_manifest(n_per_class=3)
+    recordings = tiny_recordings(m)
+    recordings[1].samples[3, 0] = 2.5e-05
+    write_dataset(tmp_path, m, recordings)
+    crlf = tmp_path / "patients/a2.csv"
+    crlf.write_bytes(crlf.read_bytes().replace(b"\n", b"\r\n"))
+    spaced = tmp_path / "patients/c0.csv"
+    spaced.write_bytes(b" F4 , Cz " + spaced.read_bytes()[len(b"F4,Cz") :])
+    opened = collections.Counter()
+    path_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened[self.name] += 1
+        return path_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    for ids in (None, ["a1", "a2"], ["c0", "c2"]):
+        opened.clear()
+        _, loaded = load_dataset(tmp_path, ids=ids)
+        assert len(loaded) == len(ids or m.patients)
+        assert opened == {"manifest.json": 1, **{f"{p.id}.csv": 1 for p in m.patients}}
+
+
+def test_load_dataset_holds_one_text_copy_of_a_declined_file(tmp_path):
+    # A file the exact reader declines (CRLF rows) is decoded from the one
+    # read and its bytes let go, so loading it peaks at its text and lines.
+    manifest, recordings = generate_synthetic(SyntheticSpec(patients_per_class=1, seed=3))
+    write_dataset(tmp_path, manifest, recordings)
+    for p in manifest.patients:
+        csv = tmp_path / p.path
+        csv.write_bytes(csv.read_bytes().replace(b"\n", b"\r\n"))
+    data = csv.read_bytes()
+    load_dataset(tmp_path)
+    tracemalloc.start()
+    try:
+        data.decode().splitlines()
+        lines_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        load_dataset(tmp_path, ids=[p.id])
+        load_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert load_peak < lines_peak + len(data) // 2
 
 
 # Every character str.splitlines splits on besides "\n".
@@ -854,19 +946,49 @@ def fixed_notation_files(draw):
     return n_ch, [fields[i % len(fields)] for i in range(rows * n_ch)]
 
 
+# repr writes these with an exponent: 'e-' below 1e-4, 'e+' from 1e16.
+_EXPONENT_FIELDS = st.builds(
+    lambda sign, x: sign + repr(x), _SIGNS,
+    st.floats(0, 1e-4, exclude_min=True, exclude_max=True) | st.floats(1e16, 1e22, exclude_max=True),
+)
+
+
+@st.composite
+def exponent_files(draw):
+    """A fixed_notation_files case with a few cells, in any blocks, in exponent notation."""
+    n_ch, cells = draw(fixed_notation_files())
+    for i in draw(st.lists(st.integers(0, len(cells) - 1), min_size=1, max_size=4)):
+        cells[i] = draw(_EXPONENT_FIELDS)
+    return n_ch, cells
+
+
+def assert_read_floats_match_float(n_ch, cells):
+    rows = [",".join(cells[i : i + n_ch]) for i in range(0, len(cells), n_ch)]
+    header = ",".join(f"c{j}" for j in range(n_ch))
+    data = ("\n".join([header, *rows]) + "\n").encode()
+    got = dataio._read_floats(data, n_ch, b"e" in data or b"+" in data)
+    assert got is not None
+    expected = np.array([float(c) for c in cells]).reshape(-1, n_ch)
+    assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=120, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=fixed_notation_files())
 @example(case=(1, ["9007199254740993.0", "-18014398509481986.0", "4503599627370497.5"]))
 def test_read_floats_matches_float_bit_for_bit(case):
-    n_ch, cells = case
-    rows = [",".join(cells[i : i + n_ch]) for i in range(0, len(cells), n_ch)]
-    header = ",".join(f"c{j}" for j in range(n_ch))
-    got = dataio._read_floats(("\n".join([header, *rows]) + "\n").encode(), n_ch)
-    assert got is not None
-    expected = np.array([float(c) for c in cells]).reshape(-1, n_ch)
-    assert got.tobytes() == expected.tobytes()
+    assert_read_floats_match_float(*case)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=exponent_files())
+@example(case=(1, ["1e+16", "-9.999999999999999e+21", "5e-324", "-9.9999e-05", "0.0001"]))
+@example(case=(2, ["1.5"] * 2 * _BLOCK + ["2.5e-05", "-0.0"] + ["3.25"] * 2 * _BLOCK))
+def test_read_floats_matches_float_on_exponent_fields(case):
+    assert_read_floats_match_float(*case)
 
 
 # -------------------------------------------------------------- synthetic
