@@ -644,23 +644,13 @@ def test_load_dataset_reads_write_csv_files_without_the_row_parser(tmp_path, mon
 
 def test_load_dataset_reads_exponent_values_without_the_row_parser(tmp_path, monkeypatch):
     # repr writes values below 1e-4 as -3.1e-05 and from 1e16 as 1.5e+16.
-    manifest, recordings = generate_synthetic(SyntheticSpec(patients_per_class=1, seed=3))
+    # The header is matched whole, so channels named with 'e' or '+' are
+    # no exponent fields.
+    spec = SyntheticSpec(patients_per_class=1, channels=("Fe", "C+"), seed=3)
+    manifest, recordings = generate_synthetic(spec)
     recordings[0].samples[[5, 2000, 7679], 0] = [3.1e-05, -7.25e-300, 5e-324]
     recordings[1].samples[[0, 4000], 1] = [-9.5e-05, 1.5e16]
     write_dataset(tmp_path, manifest, recordings)
-    refuse_the_row_parser(monkeypatch)
-    _, loaded = load_dataset(tmp_path)
-    for rec, back in zip(recordings, loaded):
-        assert back.samples.tobytes() == rec.samples.tobytes()
-
-
-def test_load_dataset_reads_channels_named_with_exponent_bytes_exactly(tmp_path, monkeypatch):
-    # Only the bytes after the header may be 'e' or '+'; the header is
-    # matched whole, so channels named like this change nothing.
-    m = tiny_manifest(channels=("Fe", "C+"))
-    recordings = tiny_recordings(m)
-    recordings[0].samples[2, 1] = 2e16
-    write_dataset(tmp_path, m, recordings)
     refuse_the_row_parser(monkeypatch)
     _, loaded = load_dataset(tmp_path)
     for rec, back in zip(recordings, loaded):
