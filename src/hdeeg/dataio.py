@@ -17,8 +17,9 @@ A value is any text Python's float() accepts; blank lines are rejected.
 Written files hold the bytes of one repr per value, row by row, so
 write-then-load round-trips exactly.  Float64 blocks get those bytes from
 a numpy formatter that computes repr's shortest digits exactly for most
-values and calls repr for the rest (see _format_floats), and every float
-file written is read back exactly by _read_floats, from one read per file.
+values and calls repr for the rest (see _format_floats), and files of that
+shape are read back exactly in numpy (see _read_floats).  Each file is
+read from disk once.
 """
 
 import functools
@@ -246,24 +247,23 @@ _TO_DIGITS = bytes.maketrans(b"\n", b",")
 def _read_patient(path: Path, patient: PatientEntry, channels, parse: bool):
     """(data rows, samples or None unless ``parse``) of a patient CSV, from one read.
 
-    The exact header, then _BODY_BYTES and repr's exponent bytes 'e' and
-    '+', ending in a newline: one row per newline, read by _read_floats.
-    Else, or if it declines, the text's lines after the header are the rows.
+    The exact header, then _BODY_BYTES ending in a newline: one row per
+    newline, read by _read_floats.  Else, or if it declines, the text's
+    lines after the header are the rows.
     """
     data, head = path.read_bytes(), (",".join(channels) + "\n").encode("utf-8")
-    exp = data.translate(None, _BODY_BYTES)[len(head.translate(None, _BODY_BYTES)) :]
-    plain = data.startswith(head) and data.endswith(b"\n") and not exp.strip(b"e+")
+    plain = data.translate(None, _BODY_BYTES) == head.translate(None, _BODY_BYTES)
     samples = None
-    if plain and len(data) > len(head):
+    if plain and data.startswith(head) and data.endswith(b"\n") and len(data) > len(head):
         if not parse:
             return data.count(b"\n") - 1, None
-        samples = _read_floats(data, len(channels), bool(exp))
+        samples = _read_floats(data, len(channels))
     if samples is None:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataValidationError(f"{patient.id}: {path} is not UTF-8 text ({exc})") from exc
-        del data, exp  # so the peak is one text copy and its rows
+        del data  # so the peak is one text copy and its rows
         rows = text.splitlines()
         del text
         if not rows:
@@ -285,7 +285,7 @@ def _read_patient(path: Path, patient: PatientEntry, channels, parse: bool):
             # or would read short goes to the row scanner, which alone words
             # the errors and also takes float() syntax the reader refuses.
             try:
-                samples = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+                samples = np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
             except ValueError:
                 pass
         if samples is None or samples.shape != (len(rows), len(channels)):
@@ -294,36 +294,25 @@ def _read_patient(path: Path, patient: PatientEntry, channels, parse: bool):
     return len(samples), samples
 
 
-def _read_floats(data: bytes, n_ch: int, exp: bool):
+def _read_floats(data: bytes, n_ch: int):
     """The (rows, n_ch) values after a header line, as float() reads them.
 
-    None unless each row holds n_ch fields of [-]digits.digits, or, if
-    ``exp``, fields that float() reads in the blocks holding 'e' or '+'.
-    Reads _CSV_BLOCK_ROWS rows at a time; a field of digits m, k after the
-    point, is m / 10**k, and float() reads the few it cannot decide exactly.
+    None unless each row holds n_ch fields of [-]digits.digits.  Reads
+    _CSV_BLOCK_ROWS rows at a time; a field of digits m, k after the point,
+    is m / 10**k, and float() reads the few it cannot decide exactly.
     """
     text = np.frombuffer(data, np.uint8)
     lines = np.flatnonzero(text == 10)  # the header's newline, then each row's
     out = np.empty((len(lines) - 1, n_ch))
     for r0 in range(0, len(out), _CSV_BLOCK_ROWS):
         r1 = min(r0 + _CSV_BLOCK_ROWS, len(out))
-        lo, hi = lines[r0] + 1, lines[r1]
-        flat = out.reshape(-1)[r0 * n_ch :]
-        n = (r1 - r0) * n_ch
-        block = text[lo : hi + 1]
-        if exp and (data.find(b"e", lo, hi) >= 0 or data.find(b"+", lo, hi) >= 0):
-            ends = np.flatnonzero((block == 44) | (block == 10))
-            if len(ends) != n or (block[ends[n_ch - 1 :: n_ch]] != 10).any():
-                return None
-            try:
-                flat[:n] = [float(f) for f in data[lo:hi].replace(b"\n", b",").split(b",")]
-            except ValueError:
-                return None
-            continue
+        lo = lines[r0] + 1
+        block = text[lo : lines[r1] + 1]
         marks = np.flatnonzero(block < 48)  # every byte but the digits
         kind = block[marks]
         ends = marks[kind <= 44]  # ',' or '\n'
         dots = marks[kind == 46]
+        n = (r1 - r0) * n_ch
         if len(ends) != n or len(dots) != n or (block[ends[n_ch - 1 :: n_ch]] != 10).any():
             return None
         starts = np.concatenate(([0], ends[:-1] + 1))
@@ -332,7 +321,7 @@ def _read_floats(data: bytes, n_ch: int, exp: bool):
         digits = dots - starts - neg
         if np.count_nonzero(neg) != len(marks) - 2 * n or min(digits.min(), k.min()) < 1:
             return None
-        m = np.fromstring(data[lo:hi].translate(_TO_DIGITS, b".-"), np.int64, sep=",")
+        m = np.fromstring(data[lo : lines[r1]].translate(_TO_DIGITS, b".-"), np.int64, sep=",")
         slow = digits + k > 18
         m[slow] = k[slow] = 0
         p = _POW10[k]
@@ -356,6 +345,7 @@ def _read_floats(data: bytes, n_ch: int, exp: bool):
         slow |= (np.abs(r - 0.5) <= _BAND) | (r >= 1.25 - _BAND)
         np.copyto(q, step, where=r > 0.5)
         np.negative(q, out=q, where=neg)
+        flat = out.reshape(-1)[r0 * n_ch :]
         flat[:n] = q
         for i in np.flatnonzero(slow).tolist():
             flat[i] = float(data[lo + starts[i] : lo + ends[i]])

@@ -28,18 +28,12 @@ gathered ones (about 160 KiB each at that scale), not unpacked copies
 of every level.
 """
 
-import weakref
-
 import numpy as np
 
 from .memories import _LEVEL_BLOCK, ContinuousItemMemory, ItemMemory
 from .preprocess import QuantizedRecording
 
 __all__ = ["encode_windows"]
-
-# _level_table's tables by level memory, then by ngram size; an entry goes
-# with its memory.
-_LEVEL_TABLES = weakref.WeakKeyDictionary()
 
 
 def _row_bytes(dimension: int) -> int:
@@ -49,8 +43,8 @@ def _row_bytes(dimension: int) -> int:
 
 def _level_table(cim: ContinuousItemMemory, ngram_size: int) -> np.ndarray:
     """Read-only (8, levels, bytes) uint8 table; [r, k] is level k's packed
-    extended row shifted left by r bits.  Cached per ``cim`` and n."""
-    tables = _LEVEL_TABLES.setdefault(cim, {})
+    extended row shifted left by r bits.  Cached on ``cim`` per n."""
+    tables = vars(cim).setdefault("_level_tables", {})
     table = tables.get(ngram_size)
     if table is not None:
         return table

@@ -599,8 +599,8 @@ def test_load_dataset_ids_parse_only_those_patients(tmp_path, monkeypatch):
     parsed = []
     read_floats, loadtxt = dataio._read_floats, np.loadtxt
 
-    def counting_read_floats(data, n_ch, exp):
-        samples = read_floats(data, n_ch, exp)
+    def counting_read_floats(data, n_ch):
+        samples = read_floats(data, n_ch)
         if samples is not None:
             parsed.append("fast")
         return samples
@@ -623,53 +623,21 @@ def test_load_dataset_ids_parse_only_those_patients(tmp_path, monkeypatch):
         assert np.array_equal(rec.samples, by_id[rec.patient_id].samples)
 
 
-def refuse_the_row_parser(monkeypatch):
+def test_load_dataset_reads_write_csv_files_without_the_row_parser(tmp_path, monkeypatch):
+    # A paper-scale dataset as write_dataset leaves it, with no value below
+    # 1e-4 (which repr writes with an exponent), takes the exact reader: a
+    # silent fall back to np.loadtxt or the row scanner fails here.
+    manifest, recordings = generate_synthetic(SyntheticSpec(patients_per_class=1, seed=3))
+    write_dataset(tmp_path, manifest, recordings)
+
     def refuse(*args, **kwargs):
         raise AssertionError("a write_csv file went to the row parser")
 
     monkeypatch.setattr(np, "loadtxt", refuse)
     monkeypatch.setattr(dataio, "_scan_rows", refuse)
-
-
-def test_load_dataset_reads_write_csv_files_without_the_row_parser(tmp_path, monkeypatch):
-    # A paper-scale dataset as write_dataset leaves it takes the exact
-    # reader: a silent fall back to np.loadtxt or the row scanner fails here.
-    manifest, recordings = generate_synthetic(SyntheticSpec(patients_per_class=1, seed=3))
-    write_dataset(tmp_path, manifest, recordings)
-    refuse_the_row_parser(monkeypatch)
     _, loaded = load_dataset(tmp_path)
     for rec, back in zip(recordings, loaded):
         assert back.samples.tobytes() == rec.samples.tobytes()
-
-
-def test_load_dataset_reads_exponent_values_without_the_row_parser(tmp_path, monkeypatch):
-    # repr writes values below 1e-4 as -3.1e-05 and from 1e16 as 1.5e+16.
-    # The header is matched whole, so channels named with 'e' or '+' are
-    # no exponent fields.
-    spec = SyntheticSpec(patients_per_class=1, channels=("Fe", "C+"), seed=3)
-    manifest, recordings = generate_synthetic(spec)
-    recordings[0].samples[[5, 2000, 7679], 0] = [3.1e-05, -7.25e-300, 5e-324]
-    recordings[1].samples[[0, 4000], 1] = [-9.5e-05, 1.5e16]
-    write_dataset(tmp_path, manifest, recordings)
-    refuse_the_row_parser(monkeypatch)
-    _, loaded = load_dataset(tmp_path)
-    for rec, back in zip(recordings, loaded):
-        assert back.samples.tobytes() == rec.samples.tobytes()
-
-
-@pytest.mark.parametrize(
-    "rows, match",
-    [
-        ("1e-05\n1.0,2.0,3.0\n", "a0: row 16 has 1 values, expected 2; missing channel(s) ['Cz']"),
-        ("1e-05,2.0\n1.0,2e+\n", "a0: row 17 holds a non-numeric value"),
-        ("1e-05,2.0\n\n", "a0: row 17 has 1 values, expected 2; missing channel(s) ['Cz']"),
-        ("1e-05,+1.5\n3.0,1e999\n", "a0: non-finite value at sample 15, channel Cz"),
-    ],
-)
-def test_load_dataset_exponent_rows_float_refuses_get_the_row_parsers_error(tmp_path, rows, match):
-    root = write_patient_csv(tmp_path, "F4,Cz\n" + "1.0,2.0\n" * 14 + rows)
-    with pytest.raises(DataValidationError, match="^" + re.escape(match) + "$"):
-        load_dataset(root)
 
 
 def test_load_dataset_opens_each_patient_file_once(tmp_path, monkeypatch):
@@ -936,49 +904,19 @@ def fixed_notation_files(draw):
     return n_ch, [fields[i % len(fields)] for i in range(rows * n_ch)]
 
 
-# repr writes these with an exponent: 'e-' below 1e-4, 'e+' from 1e16.
-_EXPONENT_FIELDS = st.builds(
-    lambda sign, x: sign + repr(x), _SIGNS,
-    st.floats(0, 1e-4, exclude_min=True, exclude_max=True) | st.floats(1e16, 1e22, exclude_max=True),
-)
-
-
-@st.composite
-def exponent_files(draw):
-    """A fixed_notation_files case with a few cells, in any blocks, in exponent notation."""
-    n_ch, cells = draw(fixed_notation_files())
-    for i in draw(st.lists(st.integers(0, len(cells) - 1), min_size=1, max_size=4)):
-        cells[i] = draw(_EXPONENT_FIELDS)
-    return n_ch, cells
-
-
-def assert_read_floats_match_float(n_ch, cells):
-    rows = [",".join(cells[i : i + n_ch]) for i in range(0, len(cells), n_ch)]
-    header = ",".join(f"c{j}" for j in range(n_ch))
-    data = ("\n".join([header, *rows]) + "\n").encode()
-    got = dataio._read_floats(data, n_ch, b"e" in data or b"+" in data)
-    assert got is not None
-    expected = np.array([float(c) for c in cells]).reshape(-1, n_ch)
-    assert got.tobytes() == expected.tobytes()
-
-
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=120, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=fixed_notation_files())
 @example(case=(1, ["9007199254740993.0", "-18014398509481986.0", "4503599627370497.5"]))
 def test_read_floats_matches_float_bit_for_bit(case):
-    assert_read_floats_match_float(*case)
-
-
-@pytest.mark.filterwarnings("error")
-@settings(max_examples=60, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(case=exponent_files())
-@example(case=(1, ["1e+16", "-9.999999999999999e+21", "5e-324", "-9.9999e-05", "0.0001"]))
-@example(case=(2, ["1.5"] * 2 * _BLOCK + ["2.5e-05", "-0.0"] + ["3.25"] * 2 * _BLOCK))
-def test_read_floats_matches_float_on_exponent_fields(case):
-    assert_read_floats_match_float(*case)
+    n_ch, cells = case
+    rows = [",".join(cells[i : i + n_ch]) for i in range(0, len(cells), n_ch)]
+    header = ",".join(f"c{j}" for j in range(n_ch))
+    got = dataio._read_floats(("\n".join([header, *rows]) + "\n").encode(), n_ch)
+    assert got is not None
+    expected = np.array([float(c) for c in cells]).reshape(-1, n_ch)
+    assert got.tobytes() == expected.tobytes()
 
 
 # -------------------------------------------------------------- synthetic

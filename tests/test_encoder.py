@@ -1,8 +1,6 @@
 """Spatio-temporal encoder against an independent scalar oracle."""
 
-import gc
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -383,14 +381,6 @@ def test_level_table_built_once_per_memory_and_ngram_size():
     twin = ContinuousItemMemory(cim.vectors)
     assert _level_table(twin, 3) is not table
     assert np.array_equal(_level_table(twin, 3), table)
-
-
-def test_level_tables_go_with_their_memory():
-    _, cim = small_memories()
-    table = weakref.ref(_level_table(cim, 3))
-    del cim
-    gc.collect()
-    assert table() is None
 
 
 def test_level_table_is_read_only():
