@@ -327,14 +327,10 @@ def _read_floats(data: bytes, n_ch: int):
         p = _POW10[k]
         fm = m.astype(np.float64)
         q = fm / p
-        hi = q * p
-        qh = q * 134217729.0  # 2**27 + 1
-        qh -= qh - q
-        ql = q - qh
-        ph, pl = _POW10_HI[k], _POW10_LO[k]
-        # r = m - q * 10**k exactly, as (m - fl(m)) + (fl(m) - hi) - lo: hi + lo
-        # is q * 10**k by Dekker's TwoProduct, fl(m) - hi exact by Sterbenz.
-        r = (m - fm.astype(np.int64)) + ((fm - hi) - (((qh * ph - hi) + qh * pl + ql * ph) + ql * pl))
+        qp, err = _times_pow10(q, k)
+        # r = m - q * 10**k exactly, as (m - fl(m)) + (fl(m) - qp) - err,
+        # with fl(m) - qp exact by Sterbenz.
+        r = (m - fm.astype(np.int64)) + ((fm - qp) - err)
         # q lies within 1.5 gaps of m / 10**k.  In gaps times 10**k, q is
         # nearest while |r| < 1/2 and the next double toward the value while
         # |r| < 5/4, short of the midpoint beyond it.  float() reads fields of
@@ -427,14 +423,32 @@ def _format_repr(block) -> bytes:
 # that read back to the value (the nearest such when there are two), in
 # fixed notation for |x| in [1e-4, 1e16).  There the digits are computed
 # exactly in float64 and int64: y = |x| * 10**s as an exact sum hi + lo by
-# Dekker's TwoProduct (T. J. Dekker, Numer. Math. 18, 1971), then trailing
-# digits dropped while a multiple of 10**m stays within h of y, h being
-# half the gap to the neighbouring doubles at the same scale.  10**s for
-# s <= 20 is an exact double, and so are its 26-bit Veltkamp halves.
+# _times_pow10, then trailing digits dropped while a multiple of 10**m
+# stays within h of y, h being half the gap to the neighbouring doubles at
+# the same scale.  10**s for s <= 20 is an exact double.
 _POW10 = np.array([float(10**k) for k in range(21)])
-_POW10_HI = _POW10 * 134217729.0  # 2**27 + 1
-_POW10_HI -= _POW10_HI - _POW10
-_POW10_LO = _POW10 - _POW10_HI
+
+
+def _split(x):
+    """Veltkamp's halves of float64 x: hi + lo == x exactly, each with at
+    most 26 significant bits, so a product of two halves is exact."""
+    hi = x * 134217729.0  # 2**27 + 1
+    hi -= hi - x
+    return hi, x - hi
+
+
+def _times_pow10(x, k):
+    """(hi, lo) with hi = fl(x * 10**k) and hi + lo == x * 10**k exactly,
+    for x of 0 or magnitude in [1e-200, 1e200] and integers k in [0, 20]:
+    Dekker's TwoProduct (T. J. Dekker, Numer. Math. 18, 1971).  Both the
+    exact reader and the float formatter decide their digits from it."""
+    p = _POW10[k]
+    hi = x * p
+    xh, xl = _split(x)
+    ph, pl = _split(p)
+    return hi, ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
+
+
 # A gap this close to h, or to a tie between two candidates, is left to
 # repr: the float sums behind it round by less than 1e-14.
 _BAND = 1e-9
@@ -504,35 +518,12 @@ def _shortest_digits(v: np.ndarray):
     ok = a >= 1e-4
     ok &= a < 1e16
     np.copyto(a, 1.0, where=~ok)  # a stand-in that every step below takes
-    frac, e = np.frexp(a)
     # With the decimal exponent right, y = a * 10**s lies in [1e16, 1e17);
     # the range check on c below finds where log10 rounded it off, which
     # can also put s at 21 or c at 10**17.
-    hi = np.log10(a)
-    np.floor(hi, out=hi)
-    s = np.subtract(16.0, hi, out=hi).astype(np.intp)
-    np.minimum(s, 20, out=s)
-    p = np.take(_POW10, s, out=frac)
-    e -= 54
-    h = np.ldexp(p, e)
-    del e
-    # TwoProduct: hi = fl(a * p), lo = ((ah*ph - hi) + ah*pl + al*ph) + al*pl.
-    np.multiply(a, p, out=hi)
-    ah = np.multiply(a, 134217729.0, out=p)
-    al = ah - a
-    ah -= al
-    np.subtract(a, ah, out=al)
-    del p, frac
-    lo = np.take(_POW10_HI, s, out=a)
-    part = al * lo
-    lo *= ah
-    lo -= hi
-    ah *= _POW10_LO[s]
-    lo += ah
-    lo += part
-    al *= np.take(_POW10_LO, s, out=part)
-    lo += al
-    del ah, al, part
+    s = np.minimum((16.0 - np.floor(np.log10(a))).astype(np.intp), 20)
+    h = np.ldexp(_POW10[s], np.frexp(a)[1] - 54)
+    hi, lo = _times_pow10(a, s)
     # y == c + lo with c the nearest integer (even at a tie, as repr) and
     # |lo| <= 1/2; hi >= 2**53 is an even integer.
     c = hi.astype(np.int64)

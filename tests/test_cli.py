@@ -253,6 +253,20 @@ def test_train_non_finite_manifest_rate_is_data_error(dataset_dir, tmp_path, tok
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["sweep", "--runs", "0"], "need at least one run"),
+     (["train", "--test-adhd", "-1"], "test counts must be nonnegative")],
+)
+def test_bad_counts_are_usage_errors_before_the_manifest_is_read(tmp_path, capsys, argv, message):
+    # The manifest does not exist: reading it would exit EXIT_IO instead.
+    out = tmp_path / "out"
+    code = main([argv[0], "--manifest", str(tmp_path / "missing"), "--out", str(out), *argv[1:]])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_manifest_is_io_error(tmp_path):
     code = main(
         ["train", "--manifest", str(tmp_path / "nowhere"),
@@ -833,6 +847,34 @@ def test_sweep_table_admitting_every_window_is_pinned(dataset_dir, tmp_path):
     assert main(argv) == EXIT_OK
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "07f45062159f2b33b60b2145323778bdfe63c63d0b4b1f1f8c4fddade2b5d037"
+
+
+# At an odd test size the stratified and the uniform test sets differ.
+ODD_SWEEP = ["--test-size", "3", "--max-train", "3", "--runs", "2", *SMALL]
+
+
+@pytest.fixture(scope="module")
+def stratified_and_uniform_tables(dataset_dir, tmp_path_factory):
+    root = tmp_path_factory.mktemp("sweeps")
+    tables = []
+    for flag in ([], ["--uniform-test"]):
+        out = root / f"sweep{len(flag)}.csv"
+        assert main(["sweep", "--manifest", str(dataset_dir), "--out", str(out), *ODD_SWEEP, *flag]) == EXIT_OK
+        tables.append(out.read_bytes())
+    assert tables[0] != tables[1]
+    return tables
+
+
+@pytest.mark.parametrize(
+    "value, uniform", [("1", True), ("yes", True), ("ON", True), ("0", False), ("off", False)]
+)
+def test_uniform_test_env_var_reads_booleans(
+    dataset_dir, stratified_and_uniform_tables, tmp_path, monkeypatch, value, uniform
+):
+    monkeypatch.setenv("HDEEG_UNIFORM_TEST", value)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--manifest", str(dataset_dir), "--out", str(out), *ODD_SWEEP]) == EXIT_OK
+    assert out.read_bytes() == stratified_and_uniform_tables[uniform]
 
 
 # ----------------------------------------------------------- inspect-model

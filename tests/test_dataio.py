@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -818,6 +819,28 @@ _ROWS = st.one_of(
     st.sampled_from(["", " ", "\t", "# comment", "#1.0,2.0", "1.0,2.0 # note", "1.0,2.0,"]),
 )
 
+_SIGNS = st.sampled_from(["", "-"])
+# Fields of only the bytes the exact reader takes: mostly [-]digits.digits,
+# and some that break its layout rules.
+_LAYOUT_FIELDS = st.one_of(
+    st.builds(lambda sign, whole, frac: f"{sign}{whole}.{frac}", _SIGNS,
+              st.text("0123456789", min_size=1, max_size=4), st.text("0123456789", min_size=1, max_size=4)),
+    st.sampled_from([".", "-.", ".5", "5.", "-.25", "--1.0", "1-2.5", "1.0-", "-", "12", "1..2"]),
+)
+
+
+@st.composite
+def layout_rows(draw):
+    """Two fields a row in all, but cut into rows of 1 to 3 fields."""
+    fields = draw(st.lists(_LAYOUT_FIELDS, min_size=2, max_size=40))
+    del fields[len(fields) // 2 * 2 :]
+    rows = []
+    while fields:
+        size = draw(st.sampled_from([1, 2, 2, 2, 3]))
+        rows.append(",".join(fields[:size]))
+        fields = fields[size:]
+    return rows
+
 
 @st.composite
 def patient_csv_texts(draw):
@@ -825,11 +848,15 @@ def patient_csv_texts(draw):
         return ""
     header = draw(st.sampled_from(["F4,Cz", " F4 , Cz ", "F4,Pz", "F4"]))
     rows = draw(st.lists(_ROWS, max_size=12))
-    if draw(st.booleans()):
+    branch = draw(st.integers(0, 3))
+    if branch >= 2:
         # Mostly valid files, so the reader's accept path is exercised too.
         rows = draw(st.lists(st.lists(_NUMBERS, min_size=2, max_size=2).map(",".join),
                              min_size=1, max_size=40))
         header = "F4,Cz"
+    elif branch == 1:
+        # Only bytes the exact reader takes, so it decides the file itself.
+        return "\n".join(["F4,Cz", *draw(layout_rows())]) + "\n"
     ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     trailing = draw(st.sampled_from(["", ending]))
     return ending.join([header, *rows]) + trailing
@@ -849,6 +876,15 @@ def one_patient_dataset(tmp_path_factory):
 @settings(max_examples=400, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(text=patient_csv_texts())
+@example(text="F4,Cz\n--1.0,2.0\n")
+@example(text="F4,Cz\n1-2.5,2.0\n")
+@example(text="F4,Cz\n1.0\n2.0,3.0,4.0\n")
+@example(text="F4,Cz\n" + "1.0,2.0\n" * _BLOCK + "1.0\n2.0,3.0,4.0\n")
+@example(text="F4,Cz\n.,2.0\n")
+@example(text="F4,Cz\n-.,2.0\n")
+@example(text="F4,Cz\n1.0-,2.0\n")
+@example(text="F4,Cz\n.5,5.\n-.25,1.0\n")
+@example(text="F4,Cz\n1_000.5,١٢\n")  # float() syntax loadtxt refuses
 def test_load_dataset_matches_row_parser_oracle(one_patient_dataset, text):
     root, patient, channels = one_patient_dataset
     csv_path = root / patient.path
@@ -880,7 +916,6 @@ def _midpoint_text(x):
     return f"{whole}.{(frac + '0')[: max(18 - len(whole), 1)]}"
 
 
-_SIGNS = st.sampled_from(["", "-"])
 _FIXED_FIELDS = st.one_of(
     # repr writes these in fixed notation.
     st.builds(lambda sign, x: sign + repr(x), _SIGNS,
@@ -917,6 +952,31 @@ def test_read_floats_matches_float_bit_for_bit(case):
     assert got is not None
     expected = np.array([float(c) for c in cells]).reshape(-1, n_ch)
     assert got.tobytes() == expected.tobytes()
+
+
+# --------------------------------------------------- the shared exact product
+# The reader multiplies q in [0, 1e18] by 10**k, and the formatter |x| in
+# [1e-4, 1e16) by 10**s; both take k from 0 to 20.
+
+
+def _significant_bits(x):
+    n = abs(Fraction(x)).numerator  # its denominator is a power of two
+    return (n // (n & -n)).bit_length() if n else 0
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(cases=st.lists(st.tuples(st.floats(1e-4, 1e18) | st.just(0.0), st.integers(0, 20)),
+                      min_size=1, max_size=16))
+@example(cases=[(1e18, 20), (1e-4, 0), (0.0, 20), (math.nextafter(1e16, 0), 20), (0.1, 17)])
+def test_split_and_times_pow10_are_exact(cases):
+    x = np.array([xi for xi, _ in cases])
+    k = np.array([ki for _, ki in cases])
+    for xi, high, low in zip(x.tolist(), *(h.tolist() for h in dataio._split(x))):
+        assert Fraction(high) + Fraction(low) == Fraction(xi)
+        assert max(_significant_bits(high), _significant_bits(low)) <= 26
+    for (xi, ki), high, low in zip(cases, *(h.tolist() for h in dataio._times_pow10(x, k))):
+        assert high == xi * float(10**ki)
+        assert Fraction(high) + Fraction(low) == Fraction(xi) * 10**ki
 
 
 # -------------------------------------------------------------- synthetic
@@ -973,6 +1033,8 @@ def test_generate_synthetic_validates_frequency():
 def test_generate_synthetic_validates_counts():
     with pytest.raises(ValueError):
         generate_synthetic(SyntheticSpec(patients_per_class=0))
+    with pytest.raises(ValueError, match="at least one sample"):
+        generate_synthetic(SyntheticSpec(samples=0))
     with pytest.raises(ValueError):
         generate_synthetic(SyntheticSpec(noise_std_uv=-1.0))
     with pytest.raises(ValueError):

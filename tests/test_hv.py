@@ -92,6 +92,8 @@ def test_random_bipolar_rejects_bad_args():
         random_bipolar(-1, 1, 16)
     with pytest.raises(ValueError):
         random_bipolar(2**64, 1, 16)
+    with pytest.raises(ValueError, match="seed must be an integer, got float"):
+        random_bipolar(1.0, 1, 16)
 
 
 # ----------------------------------------------------------------- bind
@@ -244,6 +246,8 @@ def test_hamming_requires_bipolar():
         hamming_distance(np.array([1, 0, -1]), np.array([1, 1, -1]))
     with pytest.raises(ValueError):
         hamming_distance(np.array([1.0, 1.0]), np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        hamming_distance(np.array([1, -1]), np.array([1, -1, 1]))
 
 
 def test_hamming_cosine_identity():

@@ -52,6 +52,8 @@ def test_item_memory_rejects_bad_names():
         ItemMemory.build([], seed=0, dimension=64)
     with pytest.raises(ValueError):
         ItemMemory.build(["F4", ""], seed=0, dimension=64)
+    with pytest.raises(ValueError, match="one vector row per channel name"):
+        ItemMemory(["F4", "Cz"], np.ones((1, 64), dtype=np.int8))
 
 
 def test_item_memory_unknown_channel():
@@ -136,6 +138,8 @@ def test_cim_rejects_bad_args():
         ContinuousItemMemory.build(4, seed=0, dimension=63)
     with pytest.raises(ValueError):
         ContinuousItemMemory.build(4, seed=0, dimension=0)
+    with pytest.raises(ValueError, match="at least 2 levels"):
+        ContinuousItemMemory(np.ones((1, 64), dtype=np.int8))
 
 
 def test_cim_level_out_of_range():
@@ -321,6 +325,13 @@ def test_am_update_rejects_bad_vectors():
         am.offer(np.ones((1, 5), dtype=np.int64), Label.ADHD)
     with pytest.raises(ValueError):
         am.offer(np.ones((1, 4), dtype=np.float64), Label.ADHD)
+
+
+def test_am_rejects_a_bad_dimension_or_unequal_prototypes():
+    with pytest.raises(ValueError, match="dimension must be at least 1, got 0"):
+        AssociativeMemory(0)
+    with pytest.raises(ValueError, match="equal-length 1-D"):
+        AssociativeMemory.from_state([1, 0], [0, 1, 0], {Label.ADHD: 1, Label.CONTROL: 1}, 0.5)
 
 
 def test_am_offer_returns_admitted_count():
@@ -730,6 +741,11 @@ def test_score_each_change_needs_an_empty_memory():
     am = AssociativeMemory.from_state([1, 0], [0, 1], {Label.ADHD: 1, Label.CONTROL: 0}, 0.5)
     with pytest.raises(ValueError, match="empty memory"):
         score_each_change(am, [], [np.ones((1, 2))], lambda counts, sims: None)
+
+
+def test_score_each_change_refuses_held_out_windows_of_another_width():
+    with pytest.raises(ValueError, match=r"expected shape \(W, 4\), got \(1, 5\)"):
+        score_each_change(AssociativeMemory(4), [], [np.ones((1, 5))], lambda counts, sims: None)
 
 
 @pytest.mark.parametrize("w", [1, _SCORE_ROWS + 1, 2 * _SCORE_ROWS + 1, 2 * _SCORE_ROWS + 3])
