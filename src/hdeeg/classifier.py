@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .common import Label, check_seed, derive_seed, make_rng
+from .common import Label, check_seed, derive_seed, make_rng, map_forked
 from .dataio import DatasetManifest, DataValidationError, draw_split, split
 from .encoder import encode_windows
 from .memories import AssociativeMemory, ContinuousItemMemory, ItemMemory, score_each_change
@@ -465,7 +465,8 @@ def incremental_sweep(
     stratified=False samples the test set uniformly.  Statistics come from
     the run's training pool ("train", default) or the whole dataset
     ("all").  Returns per-k mean and population standard deviation across
-    runs plus the raw per-run data.
+    runs plus the raw per-run data.  Runs are spread over the usable CPUs
+    by :func:`~hdeeg.common.map_forked`.
     """
     check_seed(seed)
     if runs < 1:
@@ -513,7 +514,7 @@ def incremental_sweep(
             accuracies=tuple(accuracies),
         )
 
-    run_results = [one_run(r) for r in range(runs)]
+    run_results = map_forked(one_run, range(runs))
     rows = []
     for k in range(1, max_train + 1):
         samples = [run.accuracies[k - 1] for run in run_results]

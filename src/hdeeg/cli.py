@@ -22,7 +22,7 @@ from .classifier import (
     incremental_sweep,
     run_trial,
 )
-from .common import Label
+from .common import Label, map_forked
 from .dataio import (
     DataValidationError,
     SyntheticSpec,
@@ -168,10 +168,13 @@ def cmd_preprocess(args) -> int:
     drop, factor = params.drop_samples, params.downsample_factor
     conditioned = [downsample_mean(clip(drop_initial(r, drop), stats), factor) for r in recordings]
     out = Path(args.out)
-    for rec in conditioned:
+
+    def write(rec):
         levels = quantize(rec, stats, params.level_count).levels
         write_csv(out / "signals" / f"{rec.patient_id}.csv", manifest.channels, rec.samples)
         write_csv(out / "levels" / f"{rec.patient_id}.csv", manifest.channels, levels)
+
+    map_forked(write, conditioned)
     _dump_json(
         out / "stats.json",
         {

@@ -30,7 +30,7 @@ from pathlib import Path, PureWindowsPath
 
 import numpy as np
 
-from .common import DataValidationError, Label, check_seed, derive_seed, make_rng
+from .common import DataValidationError, Label, check_seed, derive_seed, make_rng, map_forked
 from .preprocess import EegRecording
 
 __all__ = [
@@ -198,7 +198,8 @@ def load_dataset(path, ids=None):
     Returns (manifest, recordings); recordings keep manifest order and are
     validated for shape, finite values, and header consistency.  Each
     value is float()'s, bit for bit, and each file is read from disk once
-    (see :func:`_read_patient`).
+    (see :func:`_read_patient`); the files are spread over the usable
+    CPUs (see :func:`~hdeeg.common.map_forked`).
 
     With ``ids``, recordings come back only for those patients, and only
     their values are parsed; an id the manifest lacks is a
@@ -219,22 +220,24 @@ def load_dataset(path, ids=None):
         unknown = [i for i in dict.fromkeys(ids) if i not in known]
         if unknown:
             raise DataValidationError(f"manifest lacks patient(s) {unknown}")
-    recordings = []
-    lengths = set()
-    for patient in manifest.patients:
+
+    def read(patient):
         parse = wanted is None or patient.id in wanted
-        rows, samples = _read_patient(root / patient.path, patient, manifest.channels, parse)
-        lengths.add(rows)
-        if parse:
-            recordings.append(
-                EegRecording(
-                    patient_id=patient.id,
-                    label=patient.label,
-                    channels=manifest.channels,
-                    samples=samples,
-                    sample_rate_hz=manifest.sample_rate_hz,
-                )
-            )
+        return _read_patient(root / patient.path, patient, manifest.channels, parse)
+
+    reads = map_forked(read, manifest.patients)
+    recordings = [
+        EegRecording(
+            patient_id=patient.id,
+            label=patient.label,
+            channels=manifest.channels,
+            samples=samples,
+            sample_rate_hz=manifest.sample_rate_hz,
+        )
+        for patient, (_, samples) in zip(manifest.patients, reads)
+        if samples is not None
+    ]
+    lengths = {rows for rows, _ in reads}
     if len(lengths) > 1:
         raise DataValidationError(f"recordings disagree on sample count: {sorted(lengths)}")
     return manifest, recordings
@@ -354,6 +357,8 @@ def write_dataset(root, manifest: DatasetManifest, recordings) -> None:
     Every recording is checked before anything is written: each manifest
     patient needs one, with the manifest's channels in its order and only
     finite samples, so whatever is written loads back as it was given.
+    The patient files are spread over the usable CPUs (see
+    :func:`~hdeeg.common.map_forked`).
     """
     root = Path(root)
     by_id = {rec.patient_id: rec for rec in recordings}
@@ -380,8 +385,10 @@ def write_dataset(root, manifest: DatasetManifest, recordings) -> None:
     (root / MANIFEST_NAME).write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    for patient in manifest.patients:
-        write_csv(root / patient.path, manifest.channels, by_id[patient.id].samples)
+    map_forked(
+        lambda p: write_csv(root / p.path, manifest.channels, by_id[p.id].samples),
+        manifest.patients,
+    )
 
 
 def write_csv(path, channels, values) -> None:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdeeg import Label, PipelineParams, SyntheticSpec, generate_synthetic
+from hdeeg import Label, PipelineParams, SyntheticSpec, common, generate_synthetic
 from hdeeg.model_io import MAGIC, _ARRAY_DTYPES
 
 
@@ -22,6 +22,13 @@ def _without_caller_env():
             if name.startswith("HDEEG_") and name != "HDEEG_CLINICAL_MANIFEST":
                 mp.delenv(name)
         yield
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """Run map_forked serially, for tests that count calls through
+    monkeypatches: a forked worker's calls never reach the test's counters."""
+    monkeypatch.setattr(common, "_usable_cpus", lambda: 1)
 
 
 @pytest.fixture(scope="session")

@@ -687,6 +687,7 @@ def test_sweep_every_point_matches_training_on_the_prefix(small_dataset, small_p
         assert run.accuracies == tuple(acc for acc, _ in points)
 
 
+@pytest.mark.usefixtures("one_cpu")
 @pytest.mark.parametrize("gate", SWEEP_GATES)
 def test_sweep_scores_only_after_the_memory_changed(
     small_dataset, small_params, gate, monkeypatch
