@@ -48,9 +48,10 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
-# Rows formatted per write or read: enough to keep the per-call cost
-# small, few enough that a block's layout and text stay near 100 KB.
-_CSV_BLOCK_ROWS = 1024
+# Values formatted per write or read, whatever the channel count: enough
+# to keep each numpy call's fixed cost small, few enough that a block's
+# temporaries stay near 1 MiB.
+_CSV_BLOCK_VALUES = 8192
 _JSON_TYPES = {str: "string", list: "list"}
 
 
@@ -297,18 +298,26 @@ def _read_patient(path: Path, patient: PatientEntry, channels, parse: bool):
     return len(samples), samples
 
 
+def _block_rows(n_ch: int) -> int:
+    """Rows per CSV block of n_ch columns: about _CSV_BLOCK_VALUES values,
+    and at least one row (zero columns count as one)."""
+    return max(1, _CSV_BLOCK_VALUES // max(n_ch, 1))
+
+
 def _read_floats(data: bytes, n_ch: int):
     """The (rows, n_ch) values after a header line, as float() reads them.
 
     None unless each row holds n_ch fields of [-]digits.digits.  Reads
-    _CSV_BLOCK_ROWS rows at a time; a field of digits m, k after the point,
-    is m / 10**k, and float() reads the few it cannot decide exactly.
+    blocks of about _CSV_BLOCK_VALUES values (see _block_rows); a field of
+    digits m, k after the point, is m / 10**k, and float() reads the few it
+    cannot decide exactly.
     """
     text = np.frombuffer(data, np.uint8)
     lines = np.flatnonzero(text == 10)  # the header's newline, then each row's
     out = np.empty((len(lines) - 1, n_ch))
-    for r0 in range(0, len(out), _CSV_BLOCK_ROWS):
-        r1 = min(r0 + _CSV_BLOCK_ROWS, len(out))
+    rows = _block_rows(n_ch)
+    for r0 in range(0, len(out), rows):
+        r1 = min(r0 + rows, len(out))
         lo = lines[r0] + 1
         block = text[lo : lines[r1] + 1]
         marks = np.flatnonzero(block < 48)  # every byte but the digits
@@ -397,13 +406,14 @@ def write_csv(path, channels, values) -> None:
     ``values`` must be 2-D with one column per channel, else ValueError.
     The bytes equal one repr per value, row by row, so floats round-trip
     exactly and integer levels print as plain integers.  The file is
-    streamed in blocks of ``_CSV_BLOCK_ROWS`` rows, so the text in memory
-    at once is one block's.  A float64 block is formatted by
-    :func:`_format_floats`: it computes repr's shortest round-trip digits
-    in numpy for values in [1e-4, 1e16), and calls repr for zeros,
-    subnormals, values from 1e16, inf and nan and the few values whose
-    digits it cannot decide exactly.  Any other block is formatted by one
-    ``%r`` format call.  Parent directories are created.
+    streamed in blocks of whole rows holding about ``_CSV_BLOCK_VALUES``
+    values (see :func:`_block_rows`), so the text in memory at once is one
+    block's.  A float64 block is formatted by :func:`_format_floats`: it
+    computes repr's shortest round-trip digits in numpy for values in
+    [1e-4, 1e16), and calls repr for zeros, subnormals, values from 1e16,
+    inf and nan and the few values whose digits it cannot decide exactly.
+    Any other block is formatted by one ``%r`` format call.  Parent
+    directories are created.
     """
     values = np.asarray(values)
     if values.ndim != 2 or values.shape[1] != len(channels):
@@ -416,8 +426,9 @@ def write_csv(path, channels, values) -> None:
     fmt = _format_floats if values.dtype == np.float64 and len(channels) else _format_repr
     with path.open("wb") as f:
         f.write((",".join(channels) + "\n").encode("utf-8"))
-        for start in range(0, len(values), _CSV_BLOCK_ROWS):
-            f.write(fmt(values[start : start + _CSV_BLOCK_ROWS]))
+        rows = _block_rows(len(channels))
+        for start in range(0, len(values), rows):
+            f.write(fmt(values[start : start + rows]))
 
 
 def _format_repr(block) -> bytes:

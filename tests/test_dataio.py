@@ -34,8 +34,7 @@ from hdeeg import (
     split,
     write_dataset,
 )
-from hdeeg.dataio import _CSV_BLOCK_ROWS as _BLOCK
-from hdeeg.dataio import _repr_fields, write_csv
+from hdeeg.dataio import _block_rows, _repr_fields, write_csv
 
 
 def tiny_manifest(n_per_class=2, channels=("F4", "Cz")):
@@ -378,12 +377,29 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-05, 9.
                 0.0001, 1e16, 9999999999999998.0, -1e16, 1.7976931348623157e308, 0.1, -1.5]
 
 
+def block_edges(n_ch):
+    """Row counts at and across the edges of n_ch-wide CSV blocks."""
+    block = _block_rows(n_ch)
+    return [block - 1, block, block + 1, 2 * block + 1]
+
+
+@st.composite
+def csv_shapes(draw):
+    """(rows, channels): 1-3 channels, and no rows, a few, or a count at
+    or across their block edges."""
+    n_ch = draw(st.integers(1, 3))
+    return draw(st.sampled_from([0, 1, 2, *block_edges(n_ch)])), n_ch
+
+
 @settings(max_examples=60, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@example(pool=_EDGE_FLOATS, integers=False, n_channels=2, n_rows=_BLOCK + 1, seed=0)
-@example(pool=[0.0, 17.0, 249.0], integers=True, n_channels=2, n_rows=_BLOCK - 1, seed=1)
-@example(pool=[-0.0], integers=False, n_channels=1, n_rows=0, seed=0)
-@example(pool=None, integers=False, n_channels=3, n_rows=2 * _BLOCK + 1, seed=2)
+@example(pool=_EDGE_FLOATS, integers=False, shape=(_block_rows(2) + 1, 2), seed=0)
+@example(pool=[0.0, 17.0, 249.0], integers=True, shape=(_block_rows(2) - 1, 2), seed=1)
+@example(pool=[-0.0], integers=False, shape=(0, 1), seed=0)
+@example(pool=None, integers=False, shape=(2 * _block_rows(3) + 1, 3), seed=2)
+@example(pool=None, integers=False, shape=(_block_rows(19) - 1, 19), seed=3)
+@example(pool=None, integers=False, shape=(_block_rows(19) + 1, 19), seed=4)
+@example(pool=[0.0, 17.0, 249.0], integers=True, shape=(_block_rows(19) + 1, 19), seed=5)
 @given(
     pool=st.one_of(
         st.none(),
@@ -391,17 +407,14 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-05, 9.
                  min_size=1, max_size=12),
     ),
     integers=st.booleans(),
-    n_channels=st.integers(1, 3),
-    n_rows=st.sampled_from([0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
+    shape=csv_shapes(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_write_csv_matches_row_join_oracle(tmp_path_factory, pool, integers, n_channels,
-                                           n_rows, seed):
+def test_write_csv_matches_row_join_oracle(tmp_path_factory, pool, integers, shape, seed):
     # Values come from a small pool, or with pool=None each one on its own:
     # a random bit pattern or a normal(0, 30) sample, half and half.  int64
     # stands for quantized levels.
     rng = np.random.default_rng(seed)
-    shape = (n_rows, n_channels)
     if pool is None:
         bits = rng.integers(-(2**63), 2**63, size=shape, dtype=np.int64).view(np.float64)
         values = np.where(rng.random(shape) < 0.5, bits, rng.normal(0, 30, shape))
@@ -409,7 +422,7 @@ def test_write_csv_matches_row_join_oracle(tmp_path_factory, pool, integers, n_c
         values = np.array(pool)[rng.integers(len(pool), size=shape)]
     if integers:
         values = np.clip(np.nan_to_num(values), -2.0**62, 2.0**62).astype(np.int64)
-    channels = ("F4", "Cz", "Pz")[:n_channels]
+    channels = tuple(f"c{j}" for j in range(shape[1]))
     path = tmp_path_factory.getbasetemp() / "oracle" / "p.csv"
     write_csv(path, channels, values)
     assert path.read_bytes() == oracle_csv_text(channels, values).encode("utf-8")
@@ -495,18 +508,32 @@ def test_write_csv_formats_eeg_values_without_repr(tmp_path, monkeypatch):
 
 
 def test_write_csv_transient_memory_is_one_block(tmp_path):
-    # A whole paper-scale file as one string, or one string per row, peaks
-    # near 1.3 MiB; the bench writes its dataset in the measured process.
-    values = np.random.default_rng(0).normal(0, 30, size=(7680, 2))
-    path = tmp_path / "p.csv"
-    write_csv(path, ("F4", "Cz"), values)
-    tracemalloc.start()
-    try:
-        write_csv(path, ("F4", "Cz"), values)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 256 * 1024
+    # A block holds about _CSV_BLOCK_VALUES values at any width, so the
+    # peak stays one block's as a file grows longer or wider.  A whole
+    # paper-scale file as one string, or one string per row, peaks near
+    # 1.3 MiB; the bench writes its dataset in the measured process.
+    def peak(rows, n_ch):
+        values = np.random.default_rng(0).normal(0, 30, size=(rows, n_ch))
+        channels = tuple(f"c{j}" for j in range(n_ch))
+        write_csv(tmp_path / "p.csv", channels, values)
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "p.csv", channels, values)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    paper = peak(7680, 2)
+    assert paper < 1024 * 1024
+    assert abs(peak(4 * 7680, 2) - paper) < 32 * 1024
+    assert peak(7680, 19) < 1024 * 1024
+
+
+def test_write_csv_of_no_channels_writes_empty_rows(tmp_path):
+    # No channels take the %r path: an empty header, then one empty line
+    # per row, in blocks that must still hold a row.
+    write_csv(tmp_path / "p.csv", (), np.empty((3, 0)))
+    assert (tmp_path / "p.csv").read_bytes() == b"\n\n\n\n"
 
 
 # ------------------------------------------------------------- csv errors
@@ -888,7 +915,7 @@ def one_patient_dataset(tmp_path_factory):
 @example(text="F4,Cz\n--1.0,2.0\n")
 @example(text="F4,Cz\n1-2.5,2.0\n")
 @example(text="F4,Cz\n1.0\n2.0,3.0,4.0\n")
-@example(text="F4,Cz\n" + "1.0,2.0\n" * _BLOCK + "1.0\n2.0,3.0,4.0\n")
+@example(text="F4,Cz\n" + "1.0,2.0\n" * _block_rows(2) + "1.0\n2.0,3.0,4.0\n")
 @example(text="F4,Cz\n.,2.0\n")
 @example(text="F4,Cz\n-.,2.0\n")
 @example(text="F4,Cz\n1.0-,2.0\n")
@@ -939,13 +966,26 @@ _FIXED_FIELDS = st.one_of(
 )
 
 
+def cycled_cells(n_ch, rows, fields):
+    """(channels, cells): rows of n_ch cells that repeat ``fields``, row by row."""
+    return n_ch, [fields[i % len(fields)] for i in range(rows * n_ch)]
+
+
 @st.composite
 def fixed_notation_files(draw):
-    """(channels, cells): cells repeat a drawn list of fields, row by row."""
+    """cycled_cells of 1 or 3 channels, with one row or a count at or
+    across their block edges, and a drawn list of fields."""
     n_ch = draw(st.sampled_from([1, 3]))
-    rows = draw(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]))
-    fields = draw(st.lists(_FIXED_FIELDS, min_size=1, max_size=40))
-    return n_ch, [fields[i % len(fields)] for i in range(rows * n_ch)]
+    rows = draw(st.sampled_from([1, *block_edges(n_ch)]))
+    return cycled_cells(n_ch, rows, draw(st.lists(_FIXED_FIELDS, min_size=1, max_size=40)))
+
+
+# For 19 channels, the 10-20 montage: a field list whose length is prime
+# to 19, so each column takes every field.  It holds ties, 18 digits (the
+# most the reader decides itself) and 21 (read by float()).
+_MONTAGE_FIELDS = ["9007199254740993.0", "-18014398509481986.0", "4503599627370497.5",
+                   "0.1", "-0.0", "12.3456789012345678", "-1234.56789012345678901",
+                   "-54.32", "0.00012"]
 
 
 @_WARNINGS_FAIL
@@ -953,6 +993,8 @@ def fixed_notation_files(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=fixed_notation_files())
 @example(case=(1, ["9007199254740993.0", "-18014398509481986.0", "4503599627370497.5"]))
+@example(case=cycled_cells(19, _block_rows(19) - 1, _MONTAGE_FIELDS))
+@example(case=cycled_cells(19, _block_rows(19) + 1, _MONTAGE_FIELDS))
 def test_read_floats_matches_float_bit_for_bit(case):
     n_ch, cells = case
     rows = [",".join(cells[i : i + n_ch]) for i in range(0, len(cells), n_ch)]
