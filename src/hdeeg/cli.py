@@ -16,6 +16,8 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .classifier import (
     PipelineParams,
     evaluate,
@@ -266,18 +268,14 @@ def cmd_sweep(args) -> int:
         stratified=not args.uniform_test,
         stats_scope=args.stats_scope,
     )
-    lines = ["k,mean_acc,std"]
-    lines.extend(f"{row.k},{row.mean_acc!r},{row.std!r}" for row in result.rows)
+    rows = np.array([(row.k, row.mean_acc, row.std) for row in result.rows], dtype=object)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(out, ("k", "mean_acc", "std"), rows)
     print(f"swept k=1..{args.max_train} over {args.runs} runs; table written to {out}")
     return EXIT_OK
 
 
 def cmd_inspect_model(args) -> int:
-    import numpy as np
-
     model = load_model(args.model)
     tree = snapshot_header(model)
     del tree["format"], tree["arrays"]

@@ -9,7 +9,8 @@ patients, plus one CSV per patient::
 The manifest holds ``name``, ``sample_rate_hz``, ``channels`` (ordered)
 and ``patients`` (objects with ``id``, ``label``, ``path`` relative to the
 root; a path that is empty, absolute or has a ``..`` part is rejected, so
-reads and writes stay inside the root).  Patient CSVs start with a header
+reads and writes stay inside the root, and so is one naming another
+patient's file).  Patient CSVs start with a header
 row of the channel names in manifest order followed by one row of decimal
 microvolt values per sample; a channel name must be nonempty, hold no ','
 or line break and have no surrounding whitespace.  Every file is UTF-8.
@@ -25,6 +26,7 @@ read from disk once.
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path, PureWindowsPath
 
@@ -95,19 +97,28 @@ class DatasetManifest:
                 )
         if len(set(ids)) != len(ids):
             raise DataValidationError("duplicate patient ids in manifest")
+        paths = {}
         for p in self.patients:
             # Reading and writing join the path to the dataset root.  Windows
-            # rules split on both '/' and '\\' and see roots and drives.
-            path = PureWindowsPath(p.path) if isinstance(p.path, str) and p.path else None
-            if path is None or path.anchor or ".." in path.parts:
+            # rules split on both '/' and '\\', see roots and drives, drop '.'
+            # parts and repeated separators, and compare without case.
+            path = PureWindowsPath(p.path) if isinstance(p.path, str) else None
+            if path is None or not path.parts or path.anchor or ".." in path.parts:
                 raise DataValidationError(
                     f"patient {p.id} path {p.path!r} leaves the dataset root: it must be "
                     "nonempty, relative, and hold no '..' part"
                 )
-        if not 0 < self.sample_rate_hz < math.inf:
+            other = paths.setdefault(path, p)
+            if other is not p:
+                raise DataValidationError(
+                    f"patients {other.id} and {p.id} name one file: {other.path!r} and {p.path!r}"
+                )
+        # Compared as given, so an integer too large for a float is refused too.
+        if not 0 < self.sample_rate_hz <= sys.float_info.max:
             raise DataValidationError(
                 f"sample rate must be positive and finite, got {self.sample_rate_hz}"
             )
+        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
 
     def labels(self) -> dict:
         return {p.id: p.label for p in self.patients}
@@ -132,7 +143,7 @@ def load_manifest(path) -> DatasetManifest:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise DataValidationError(f"{path}: not UTF-8 text ({exc})") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer of more digits than int() reads
         raise DataValidationError(f"{path}: not valid JSON ({exc})") from exc
     try:
         patients = tuple(
@@ -152,7 +163,7 @@ def load_manifest(path) -> DatasetManifest:
         channels = _json_field(raw["channels"], list, "channels")
         return DatasetManifest(
             name=_json_field(raw["name"], str, "name") if "name" in raw else path.parent.name,
-            sample_rate_hz=float(rate),
+            sample_rate_hz=rate,
             channels=tuple(_json_field(c, str, "channel") for c in channels),
             patients=patients,
         )

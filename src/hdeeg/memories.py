@@ -11,7 +11,8 @@ AssociativeMemory keeps one integer-sum prototype per class and takes
 a patient's (W, D) window matrix whole: ``offer`` gates its rows in,
 ``similarities`` scores them as (W, 2) cosines (ADHD, CONTROL), and
 ``score_each_change`` scores a sweep's held-out set after each change.
-Each casts a window to float64 once, in blocks of at most 8 x D.
+Each casts a window to float64 once: ``offer`` one row at a time, the
+scoring calls in blocks of at most 8 x D.
 """
 
 import math
@@ -266,12 +267,11 @@ class AssociativeMemory:
         The matrix is checked before any row is bundled, so a rejected one
         leaves the memory as it was.  Returns how many rows were admitted.
 
-        Rows are cast half a scoring block at a time (the caller's matrix
-        is alive too), and an admission adds its row's dots to the later
-        rows' dots and the prototype's squared norm.  Precondition: every
-        component, squared norm and dot stays below 2**53 in magnitude, so
-        the float64 sums are exact and each cosine is the one
-        hv.cosine_similarity gives.
+        Each row is cast into one reused D-wide float64 buffer, and an
+        admission adds its row's dot and square to the prototype's squared
+        norm.  Precondition: every component, squared norm and dot stays
+        below 2**53 in magnitude, so the float64 sums are exact and each
+        cosine is the one hv.cosine_similarity gives.
         """
         label = Label(label)
         vectors = np.asarray(vectors)
@@ -285,22 +285,20 @@ class AssociativeMemory:
         proto = self._prototypes[row]
         square, norm = float(proto @ proto), float(self._norms[row])
         before = self._counts[label]
-        for _, qf in _cast_blocks(vectors, _SCORE_ROWS // 2):
+        qf = np.empty(self._dimension)
+        for q in vectors:
+            qf[...] = q
             # Python floats round each product, quotient and root as numpy does.
-            squares = np.einsum("ij,ij->i", qf, qf).tolist()
-            dots = (qf @ proto).tolist()
-            for i, (dot, row_square) in enumerate(zip(dots, squares)):
-                if self._counts[label]:
-                    if not norm:
-                        raise hv.UndefinedSimilarityError("a class prototype cancelled to all zeros")
-                    if not dot / (math.sqrt(row_square) * norm) < self.gate_threshold:
-                        continue
-                proto += qf[i]
-                square += 2 * dot + row_square
-                norm = self._norms[row] = math.sqrt(square)
-                self._counts[label] += 1
-                for j, extra in enumerate((qf[i + 1 :] @ qf[i]).tolist(), i + 1):
-                    dots[j] += extra
+            dot, row_square = float(qf @ proto), float(qf @ qf)
+            if self._counts[label]:
+                if not norm:
+                    raise hv.UndefinedSimilarityError("a class prototype cancelled to all zeros")
+                if not dot / (math.sqrt(row_square) * norm) < self.gate_threshold:
+                    continue
+            proto += qf
+            square += 2 * dot + row_square
+            norm = self._norms[row] = math.sqrt(square)
+            self._counts[label] += 1
         return self._counts[label] - before
 
     def similarities(self, vectors: np.ndarray) -> np.ndarray:

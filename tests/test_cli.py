@@ -253,6 +253,36 @@ def test_train_non_finite_manifest_rate_is_data_error(dataset_dir, tmp_path, tok
     assert code == EXIT_DATA
 
 
+def test_train_integer_manifest_rate_too_large_for_a_float_is_data_error(
+    dataset_dir, tmp_path, capsys
+):
+    root = tmp_path / "ds"
+    shutil.copytree(dataset_dir, root)
+    manifest = root / "manifest.json"
+    doc = manifest.read_text().replace('"sample_rate_hz": 256.0', '"sample_rate_hz": 1' + "0" * 400)
+    manifest.write_text(doc)
+    out = tmp_path / "m.bin"
+    code = main(["train", "--manifest", str(root), "--out", str(out), *COUNTS, *SMALL])
+    assert code == EXIT_DATA
+    assert "sample rate must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_two_patients_naming_one_file_is_data_error(dataset_dir, tmp_path, capsys):
+    root = tmp_path / "ds"
+    shutil.copytree(dataset_dir, root)
+    manifest = root / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    first, second = doc["patients"][:2]
+    second["path"] = first["path"].replace("/", "/./")
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "m.bin"
+    code = main(["train", "--manifest", str(root), "--out", str(out), *COUNTS, *SMALL])
+    assert code == EXIT_DATA
+    assert f"patients {first['id']} and {second['id']} name one file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [(["sweep", "--runs", "0"], "need at least one run"),

@@ -235,6 +235,27 @@ def test_load_manifest_accepts_integer_rate(tmp_path):
     assert load_manifest(tmp_path).sample_rate_hz == 256.0
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_manifest_rejects_an_integer_rate_too_large_for_a_float(tmp_path, sign):
+    rate = sign * 10**400
+    with pytest.raises(DataValidationError, match="sample rate must be positive and finite"):
+        DatasetManifest("x", rate, ("F4",), (PatientEntry("a", Label.ADHD, "a.csv"),))
+    doc = valid_manifest_doc()
+    doc["sample_rate_hz"] = rate
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(DataValidationError, match="sample rate must be positive and finite"):
+        load_manifest(tmp_path)
+
+
+def test_load_manifest_rejects_an_integer_json_cannot_read(tmp_path):
+    # More digits than int() converts by default (4,300): json.loads
+    # raises a plain ValueError, not a JSONDecodeError.
+    doc = json.dumps(valid_manifest_doc()).replace("256.0", "1" + "0" * 5000)
+    (tmp_path / "manifest.json").write_text(doc)
+    with pytest.raises(DataValidationError, match="not valid JSON"):
+        load_manifest(tmp_path)
+
+
 def test_load_manifest_rejects_traversing_id(tmp_path):
     doc = valid_manifest_doc()
     doc["patients"][0]["id"] = "../../escaped"
@@ -244,7 +265,7 @@ def test_load_manifest_rejects_traversing_id(tmp_path):
 
 
 BAD_PATHS = ["", "../outside.csv", "patients/../../outside.csv", "/abs/a.csv", "..\\up.csv",
-             "C:\\data\\a.csv", "\\\\server\\share\\a.csv", ".."]
+             "C:\\data\\a.csv", "\\\\server\\share\\a.csv", "..", ".", ".//."]
 
 
 @pytest.mark.parametrize("path", BAD_PATHS)
@@ -256,6 +277,37 @@ def test_manifest_rejects_paths_outside_the_root(path):
 def test_manifest_accepts_nested_and_dotted_paths():
     for path in ("a.csv", "patients/a.csv", "./a.csv", "p/./q/a..csv", "...csv"):
         DatasetManifest("x", 256.0, ("F4",), (PatientEntry("a", Label.ADHD, path),))
+
+
+# Each names the file "patients/a.csv" names, under Windows path rules.
+SAME_FILE = ["patients/a.csv", "patients/./a.csv", "patients//a.csv", "patients\\a.csv",
+             "./patients/a.csv", "Patients/A.CSV"]
+
+
+@pytest.mark.parametrize("path", SAME_FILE)
+def test_manifest_rejects_two_patients_naming_one_file(tmp_path, path):
+    patients = (PatientEntry("a", Label.ADHD, "patients/a.csv"),
+                PatientEntry("b", Label.CONTROL, "patients/b.csv"),
+                PatientEntry("c", Label.CONTROL, path))
+    message = f"patients a and c name one file: 'patients/a.csv' and {path!r}"
+    with pytest.raises(DataValidationError, match=re.escape(message)):
+        DatasetManifest("x", 256.0, ("F4",), patients)
+    doc = valid_manifest_doc()
+    doc["patients"] = [{"id": p.id, "label": str(p.label), "path": p.path} for p in patients]
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(DataValidationError, match=re.escape(message)):
+        load_manifest(tmp_path)
+
+
+def test_write_dataset_never_gets_two_patients_naming_one_file(tmp_path):
+    # The manifest refuses them when it is built, so nothing is written
+    # and neither patient's samples can overwrite the other's.
+    m = tiny_manifest()
+    shared = replace(m.patients[1], path=m.patients[0].path.replace("/", "/./"))
+    with pytest.raises(DataValidationError, match="a0 and a1 name one file"):
+        write_dataset(tmp_path / "ds", replace(m, patients=(m.patients[0], shared, *m.patients[2:])),
+                      tiny_recordings(m))
+    assert not (tmp_path / "ds").exists()
 
 
 @pytest.mark.parametrize("path", BAD_PATHS)

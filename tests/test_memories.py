@@ -628,10 +628,11 @@ def _gate_row_by_row(rows, proto, count, gate):
 def test_am_offer_across_block_edges_matches_the_row_by_row_gate(
     w, gate, dtype, dim, trained, cancel_at, seed
 ):
-    # offer casts rows in blocks and carries each later row's dot forward
-    # after an admission; a row-by-row oracle sees none of that.  A row set
-    # to minus the prototype so far is admitted at every gate here (cosine
-    # -1) and cancels it, so the next row raises, mid-block or at an edge.
+    # offer gates one cast row at a time and keeps the prototype's squared
+    # norm as a running sum; the oracle recomputes every cosine from the
+    # integer rows.  The widths straddle the scoring blocks' edges.  A row
+    # set to minus the prototype so far is admitted at every gate here
+    # (cosine -1) and cancels it, so the next row raises.
     rng = np.random.default_rng(seed)
     label = Label.CONTROL
     start = rng.integers(-3, 4, size=dim) | 1 if trained else np.zeros(dim, dtype=np.int64)
@@ -781,10 +782,12 @@ def _scoring_peaks(w):
 
 def test_am_scoring_peak_stays_one_block_whatever_w():
     # A float64 copy of a patient's 28 windows is 2.24 MB and grows with W;
-    # the scoring block is 8 x D float64, 640 KB, whatever W is.
+    # the scoring block is 8 x D float64, 640 KB, whatever W is, and offer
+    # casts one D-wide row, 80 KB.
     at_28 = _scoring_peaks(28)
     at_280 = _scoring_peaks(280)
     assert max(at_28) < 1024 * 1024
+    assert at_28[1] < 128 * 1024 and at_280[1] < 128 * 1024
     for small, large in zip(at_28, at_280):
         # Only the (W,) norms and (W, 2) dots grow, by 24 bytes a row.
         assert large - small < 64 * 1024
