@@ -108,6 +108,8 @@ def main():
     parser.add_argument("--repeats", type=int, default=21)
     parser.add_argument("--seed", type=int, default=540)
     args = parser.parse_args()
+    if args.repeats < 2:
+        parser.error("quartiles need at least 2 repeats")
     default = dataio._CSV_BLOCK_VALUES
     try:
         with tempfile.TemporaryDirectory() as tmp:

@@ -21,6 +21,8 @@ import statistics
 import time
 import tracemalloc
 
+import numpy as np
+
 from hdeeg.classifier import PipelineParams, build_memories
 from hdeeg.common import Label
 from hdeeg.dataio import SyntheticSpec, generate_synthetic
@@ -64,11 +66,10 @@ def peak(patients, gate):
 
 
 def digest(am):
-    h = hashlib.sha256()
-    for label in (Label.ADHD, Label.CONTROL):
-        h.update(am.prototype(label).tobytes())
-    h.update(am._norms.tobytes())
-    return h.hexdigest()
+    """sha256 of the int64 prototypes, then of their float64 norms."""
+    prototypes = np.array([am.prototype(label) for label in (Label.ADHD, Label.CONTROL)])
+    norms = np.sqrt(np.einsum("ij,ij->i", prototypes, prototypes, dtype=np.float64))
+    return hashlib.sha256(prototypes.tobytes() + norms.tobytes()).hexdigest()
 
 
 def main():

@@ -9,7 +9,6 @@ half of its windows got the true label.
 """
 
 import math
-import statistics
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 
@@ -518,7 +517,7 @@ def incremental_sweep(
     rows = []
     for k in range(1, max_train + 1):
         samples = [run.accuracies[k - 1] for run in run_results]
-        mean = statistics.fmean(samples)
-        std = float(np.std(samples))
-        rows.append(SweepRow(k=k, mean_acc=float(mean), std=std))
+        # statistics.fmean's float, without importing statistics.
+        mean = math.fsum(samples) / len(samples)
+        rows.append(SweepRow(k=k, mean_acc=mean, std=float(np.std(samples))))
     return SweepResult(rows=tuple(rows), runs=tuple(run_results))

@@ -108,6 +108,8 @@ class DatasetManifest:
                     f"patient {p.id} path {p.path!r} leaves the dataset root: it must be "
                     "nonempty, relative, and hold no '..' part"
                 )
+            if "\0" in p.path:  # no file system takes it
+                raise DataValidationError(f"patient {p.id} path {p.path!r} holds a NUL byte")
             other = paths.setdefault(path, p)
             if other is not p:
                 raise DataValidationError(

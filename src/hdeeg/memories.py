@@ -7,12 +7,12 @@ schedule); it holds them only as packed sign bits, np.packbits(v < 0),
 one (levels, ceil(D / 8)) uint8 matrix (about 305 KiB at 250 levels and
 D = 10,000, an eighth of the int8 matrix), and unpacks int8 rows only
 when they are asked for.
-AssociativeMemory keeps one integer-sum prototype per class and takes
-a patient's (W, D) window matrix whole: ``offer`` gates its rows in,
-``similarities`` scores them as (W, 2) cosines (ADHD, CONTROL), and
-``score_each_change`` scores a sweep's held-out set after each change.
-Each casts a window to float64 once: ``offer`` one row at a time, the
-scoring calls in blocks of at most 8 x D.
+AssociativeMemory keeps only an integer-sum prototype and a bundle count
+per class.  It takes a patient's (W, D) window matrix whole: ``offer``
+gates its rows in, ``similarities`` scores them as (W, 2) cosines (ADHD,
+CONTROL), and ``score_each_change`` scores a sweep's held-out set after
+each change.  Each casts a window to float64 once: ``offer`` one row at
+a time, the scoring calls in blocks of at most 8 x D.
 """
 
 import math
@@ -211,21 +211,20 @@ class AssociativeMemory:
     """Gated two-class prototype store.
 
     A prototype is the integer sum of the vectors bundled into it, held in
-    float64 beside its norm.  The first vector of a class is always
-    accepted; afterwards a vector is bundled only when its cosine to its
-    class prototype is below ``gate_threshold``, so near-duplicates do not
-    pile up.  The other class's prototype is never touched by an ``offer``.
+    float64 beside its bundle count; its norm is taken from it when needed.
+    The first vector of a class is always accepted; afterwards a vector is
+    bundled only when its cosine to its class prototype is below
+    ``gate_threshold``, so near-duplicates do not pile up.  The other
+    class's prototype is never touched by an ``offer``.
     """
 
     def __init__(self, dimension: int, gate_threshold: float = 0.5):
         if dimension < 1:
             raise ValueError(f"dimension must be at least 1, got {dimension}")
-        self._dimension = int(dimension)
         self.gate_threshold = float(gate_threshold)
-        # One prototype row and its norm per class, in _LABELS order.
-        self._prototypes = np.zeros((len(_LABELS), self._dimension))
-        self._norms = np.zeros(len(_LABELS))
-        self._counts = {Label.ADHD: 0, Label.CONTROL: 0}
+        # One prototype row and one bundle count per class, in _LABELS order.
+        self._prototypes = np.zeros((len(_LABELS), int(dimension)))
+        self._counts = [0] * len(_LABELS)
 
     @classmethod
     def from_state(cls, prototype_adhd, prototype_control, counts, gate_threshold):
@@ -238,17 +237,16 @@ class AssociativeMemory:
             raise ValueError("a prototype component lies beyond +-2**53, so float64 cannot hold it")
         am = cls(pa.shape[0], gate_threshold)
         am._prototypes[:] = (pa, pc)
-        am._norms[:] = np.sqrt(np.einsum("ij,ij->i", am._prototypes, am._prototypes))
-        for label in _LABELS:
+        for row, label in enumerate(_LABELS):
             n = int(counts[label])
             if n < 0:
                 raise ValueError(f"negative bundle count for {label}")
-            am._counts[label] = n
+            am._counts[row] = n
         return am
 
     @property
     def dimension(self) -> int:
-        return self._dimension
+        return self._prototypes.shape[1]
 
     def prototype(self, label: Label) -> np.ndarray:
         """Read-only int64 copy of a class prototype; later offers do not change it."""
@@ -257,7 +255,7 @@ class AssociativeMemory:
         return copy
 
     def bundle_count(self, label: Label) -> int:
-        return self._counts[Label(label)]
+        return self._counts[_LABELS.index(Label(label))]
 
     def offer(self, vectors: np.ndarray, label: Label) -> int:
         """Gate each row of a (W, D) integer matrix, in order, into ``label``'s prototype.
@@ -269,37 +267,36 @@ class AssociativeMemory:
 
         Each row is cast into one reused D-wide float64 buffer, and an
         admission adds its row's dot and square to the prototype's squared
-        norm.  Precondition: every component, squared norm and dot stays
-        below 2**53 in magnitude, so the float64 sums are exact and each
-        cosine is the one hv.cosine_similarity gives.
+        norm, a local like its norm.  Precondition: every component, squared
+        norm and dot stays below 2**53 in magnitude, so the float64 sums are
+        exact and each cosine is the one hv.cosine_similarity gives.
         """
-        label = Label(label)
+        row = _LABELS.index(Label(label))
         vectors = np.asarray(vectors)
-        if vectors.ndim != 2 or vectors.shape[1] != self._dimension:
-            raise ValueError(f"expected shape (W, {self._dimension}), got {vectors.shape}")
+        if vectors.ndim != 2 or vectors.shape[1] != self.dimension:
+            raise ValueError(f"expected shape (W, {self.dimension}), got {vectors.shape}")
         if not np.issubdtype(vectors.dtype, np.integer):
             raise ValueError("prototype updates take integer vectors")
         if not vectors.any(axis=1).all():
             raise ValueError("cannot accumulate an all-zero vector")
-        row = _LABELS.index(label)
         proto = self._prototypes[row]
-        square, norm = float(proto @ proto), float(self._norms[row])
-        before = self._counts[label]
-        qf = np.empty(self._dimension)
+        square, before = float(proto @ proto), self._counts[row]
+        norm = math.sqrt(square)
+        qf = np.empty(self.dimension)
         for q in vectors:
             qf[...] = q
             # Python floats round each product, quotient and root as numpy does.
             dot, row_square = float(qf @ proto), float(qf @ qf)
-            if self._counts[label]:
+            if self._counts[row]:
                 if not norm:
                     raise hv.UndefinedSimilarityError("a class prototype cancelled to all zeros")
                 if not dot / (math.sqrt(row_square) * norm) < self.gate_threshold:
                     continue
             proto += qf
             square += 2 * dot + row_square
-            norm = self._norms[row] = math.sqrt(square)
-            self._counts[label] += 1
-        return self._counts[label] - before
+            norm = math.sqrt(square)
+            self._counts[row] += 1
+        return self._counts[row] - before
 
     def similarities(self, vectors: np.ndarray) -> np.ndarray:
         """Cosines of each row of ``vectors`` to both prototypes, as (W, 2) float64.
@@ -313,22 +310,23 @@ class AssociativeMemory:
         float64 sums them exactly in any order and each entry equals
         hv.cosine_similarity(q, p) bit for bit.
         """
-        for label in _LABELS:
-            if self._counts[label] == 0:
+        for label, count in zip(_LABELS, self._counts):
+            if count == 0:
                 raise UntrainedMemoryError(
                     f"prototype for {label} is empty; train on both classes before scoring"
                 )
         vectors = np.asarray(vectors)
-        if vectors.ndim != 2 or vectors.shape[1] != self._dimension:
-            raise ValueError(f"expected shape (W, {self._dimension}), got {vectors.shape}")
+        if vectors.ndim != 2 or vectors.shape[1] != self.dimension:
+            raise ValueError(f"expected shape (W, {self.dimension}), got {vectors.shape}")
         qn = np.empty(len(vectors))
         dots = np.empty((len(vectors), len(_LABELS)))
         for start, qf in _cast_blocks(vectors, _SCORE_ROWS):
             # From the block already cast, not by casting the rows again.
             qn[start : start + len(qf)] = np.sqrt(np.einsum("ij,ij->i", qf, qf))
             np.matmul(qf, self._prototypes.T, out=dots[start : start + len(qf)])
-        _check_norms(qn, self._norms)
-        return dots / (qn[:, np.newaxis] * self._norms)
+        pn = np.sqrt(np.einsum("ij,ij->i", self._prototypes, self._prototypes))
+        _check_norms(qn, pn)
+        return dots / (qn[:, np.newaxis] * pn)
 
 
 def score_each_change(memory: AssociativeMemory, offers, held_out, score) -> list:
@@ -340,11 +338,12 @@ def score_each_change(memory: AssociativeMemory, offers, held_out, score) -> lis
     held-out cosines ``similarities`` would give, or None while a
     prototype is empty; its errors are raised at the same step.  Any
     other offer left the memory as it was, so it repeats the score
-    before it.  Each step's prototype change is kept as narrow integers;
-    a batch of ``_SCORE_ROWS // 2`` steps casts each held-out window once
-    and adds the exact integer products to the previous step's dots.
+    before it.  Each step keeps the prototype it changed as narrow
+    integers; a batch of ``_SCORE_ROWS // 2`` steps casts each held-out
+    window once, and a step's exact integer products with its prototype
+    replace that prototype's column of the dots.
     """
-    if any(memory._counts.values()):
+    if any(memory._counts):
         raise ValueError("score_each_change needs an empty memory")
     held_out = [np.asarray(vectors) for vectors in held_out]
     for vectors in held_out:
@@ -356,16 +355,16 @@ def score_each_change(memory: AssociativeMemory, offers, held_out, score) -> lis
     scores, steps, step_of_offer = [], [], []
 
     def score_steps():
-        changes = np.array([change for _, change, _, _ in steps], dtype=np.float64)
+        prototypes = np.array([proto for _, proto, _, _ in steps], dtype=np.float64)
         products = []
         for vectors in held_out:
             product = np.empty((len(vectors), len(steps)))
             for start, qf in _cast_blocks(vectors, _SCORE_ROWS - _SCORE_ROWS // 2):
-                np.matmul(qf, changes.T, out=product[start : start + len(qf)])
+                np.matmul(qf, prototypes.T, out=product[start : start + len(qf)])
             products.append(product)
         for step, (row, _, pn, counts) in enumerate(steps):
             for d, product in zip(dots, products):
-                d[:, row] += product[:, step]
+                d[:, row] = product[:, step]
             sims = None
             if all(counts):
                 sims = [d / (qn[:, np.newaxis] * pn) for d, qn in zip(dots, norms)]
@@ -374,18 +373,18 @@ def score_each_change(memory: AssociativeMemory, offers, held_out, score) -> lis
 
     for vectors, label in offers:
         row = _LABELS.index(Label(label))
-        before = memory._prototypes[row].copy()
         admitted = memory.offer(vectors, label)
         del vectors
         if admitted or not step_of_offer:
-            change = memory._prototypes[row] - before
-            lo, hi = int(change.min()), int(change.max())  # -hi - 1 needs +hi's width
-            change = change.astype(np.min_scalar_type(min(lo, -hi - 1)))
-            counts = tuple(memory._counts[lab] for lab in _LABELS)
+            proto = memory._prototypes[row]
+            lo, hi = int(proto.min()), int(proto.max())  # -hi - 1 needs +hi's width
+            proto = proto.astype(np.min_scalar_type(min(lo, -hi - 1)))
+            pn = np.sqrt(np.einsum("ij,ij->i", memory._prototypes, memory._prototypes))
+            counts = tuple(memory._counts)
             if all(counts):
                 for qn in norms:
-                    _check_norms(qn, memory._norms)
-            steps.append((row, change, memory._norms.copy(), counts))
+                    _check_norms(qn, pn)
+            steps.append((row, proto, pn, counts))
             if len(steps) == _SCORE_ROWS // 2:
                 score_steps()
         step_of_offer.append(len(scores) + len(steps) - 1)

@@ -283,6 +283,22 @@ def test_train_two_patients_naming_one_file_is_data_error(dataset_dir, tmp_path,
     assert not out.exists()
 
 
+def test_train_nul_byte_in_a_patient_path_is_data_error(dataset_dir, tmp_path, capsys):
+    root = tmp_path / "ds"
+    shutil.copytree(dataset_dir, root)
+    manifest = root / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    first = doc["patients"][0]
+    first["path"] = first["path"].replace(".csv", "\0.csv")
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "m.bin"
+    code = main(["train", "--manifest", str(root), "--out", str(out), *COUNTS, *SMALL])
+    assert code == EXIT_DATA
+    message = f"patient {first['id']} path {first['path']!r} holds a NUL byte"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [(["sweep", "--runs", "0"], "need at least one run"),
@@ -1088,6 +1104,18 @@ def test_cli_import_leaves_numpy_random_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_statistics_unloaded():
+    # statistics pulls in fractions and decimal; incremental_sweep takes
+    # its means with math.fsum instead.
+    code = "import sys, hdeeg.cli; print({'statistics', 'fractions', 'decimal'} & set(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, cwd=Path(hdeeg.__file__).resolve().parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "set()"
 
 
 def test_console_script():

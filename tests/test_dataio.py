@@ -299,6 +299,27 @@ def test_manifest_rejects_two_patients_naming_one_file(tmp_path, path):
         load_manifest(tmp_path)
 
 
+@pytest.mark.parametrize("path", ["patients/a\0.csv", "\0", "a.csv\0"])
+def test_manifest_rejects_a_nul_byte_in_a_path(tmp_path, path):
+    message = f"patient a path {path!r} holds a NUL byte"
+    with pytest.raises(DataValidationError, match=re.escape(message)):
+        DatasetManifest("x", 256.0, ("F4",), (PatientEntry("a", Label.ADHD, path),))
+    doc = valid_manifest_doc()
+    doc["patients"][0]["path"] = path
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(DataValidationError, match=re.escape(message)):
+        load_manifest(tmp_path)
+
+
+def test_write_dataset_never_gets_a_nul_byte_in_a_path(tmp_path):
+    m = tiny_manifest()
+    nul = replace(m.patients[0], path=m.patients[0].path.replace(".csv", "\0.csv"))
+    with pytest.raises(DataValidationError, match="holds a NUL byte"):
+        write_dataset(tmp_path / "ds", replace(m, patients=(nul, *m.patients[1:])),
+                      tiny_recordings(m))
+    assert not (tmp_path / "ds").exists()
+
+
 def test_write_dataset_never_gets_two_patients_naming_one_file(tmp_path):
     # The manifest refuses them when it is built, so nothing is written
     # and neither patient's samples can overwrite the other's.
