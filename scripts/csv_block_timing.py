@@ -9,7 +9,9 @@ rows and with blocks of 4,096, 8,192 and 16,384 values, by setting
 ``dataio._CSV_BLOCK_VALUES``; the sizes take turns within each repeat.
 Every size must give the same bytes and values.  Prints one
 JSON object: per channel count and block, the median and quartiles of the
-milliseconds per file for each side, and each side's tracemalloc peak.
+milliseconds per file for each side, and each side's tracemalloc peak;
+and under ``machine``, the Python and numpy versions, the platform and the
+usable CPU count.
 """
 
 import argparse
@@ -22,6 +24,7 @@ from pathlib import Path
 
 from hdeeg import dataio
 from hdeeg.dataio import SyntheticSpec, generate_synthetic, write_csv
+from machine import machine
 
 SAMPLES = 7680
 BLOCK_VALUES = (4096, 8192, 16384)
@@ -121,6 +124,7 @@ def main():
     finally:
         dataio._CSV_BLOCK_VALUES = default
     result["default_block_values"] = default
+    result["machine"] = machine()
     print(json.dumps(result, indent=2))
 
 

@@ -11,7 +11,9 @@ Each repeat then offers every patient, in manifest order, to a fresh
 Prints one JSON object: per gate, the median and quartiles of the
 milliseconds per pass over all patients, the windows admitted per class,
 one pass's tracemalloc peak, and a sha256 of the prototypes and their
-norms, so that runs of two versions of the code can be set side by side.
+norms, so that runs of two versions of the code can be set side by side;
+and under ``machine``, the Python and numpy versions, the platform and the
+usable CPU count.
 """
 
 import argparse
@@ -28,6 +30,7 @@ from hdeeg.common import Label
 from hdeeg.dataio import SyntheticSpec, generate_synthetic
 from hdeeg.encoder import encode_windows
 from hdeeg.memories import AssociativeMemory
+from machine import machine
 
 GATES = (0.5, 2.0)
 ADHD_DROPPED = 5
@@ -100,6 +103,7 @@ def main():
             "peak_kib": round(peak(patients, gate) / 1024, 1),
             "sha256": digest(am),
         }
+    result["machine"] = machine()
     print(json.dumps(result, indent=2))
 
 

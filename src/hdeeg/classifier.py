@@ -141,7 +141,9 @@ class TrainedModel:
     ``train_ids`` and ``test_ids`` each name a patient at most once and
     share none, else ValueError: a held-out set must be held out.
     ``channel_stats`` name the item memory's channels in the same order,
-    else ValueError, so every model ``save_model`` writes loads again.
+    and ``params`` give the memories' dimension, level count and gate
+    threshold, else ValueError, so every model ``save_model`` writes loads
+    again as it was.
     """
 
     params: PipelineParams
@@ -153,6 +155,20 @@ class TrainedModel:
     test_ids: tuple = ()
 
     def __post_init__(self):
+        p = self.params
+        dimensions = [m.dimension for m in (self.item_memory, self.level_memory, self.memory)]
+        if dimensions != [p.dimension] * 3:
+            raise ValueError(f"params say dimension {p.dimension}, the memories have {dimensions}")
+        if self.level_memory.level_count != p.level_count:
+            raise ValueError(
+                f"params say {p.level_count} levels, the level memory has "
+                f"{self.level_memory.level_count}"
+            )
+        if self.memory.gate_threshold != p.gate_threshold:
+            raise ValueError(
+                f"params say gate threshold {p.gate_threshold}, the memory has "
+                f"{self.memory.gate_threshold}"
+            )
         if tuple(s.channel for s in self.channel_stats) != self.channels:
             raise ValueError(f"channel stats do not match channels {self.channels}")
         for name, ids in (("train_ids", self.train_ids), ("test_ids", self.test_ids)):
@@ -445,7 +461,6 @@ def incremental_sweep(
     test_size: int,
     max_train: int,
     runs: int,
-    seed: int,
     params: PipelineParams,
     stratified: bool = True,
     stats_scope: str = "train",
@@ -454,7 +469,7 @@ def incremental_sweep(
 
     Each run fixes a test set and a random training order, then reports
     patient accuracy after training on the first k patients for k = 1 ..
-    max_train.  Runs use seeds derived from ``seed``, and within a run the
+    max_train.  Runs use seeds derived from params.seed, and within a run the
     item and level memories come from the run seed exactly as train()
     would derive them, so the k = max_train point of a run reproduces a
     plain train/evaluate with params.seed set to that run seed.
@@ -467,7 +482,6 @@ def incremental_sweep(
     runs plus the raw per-run data.  Runs are spread over the usable CPUs
     by :func:`~hdeeg.common.map_forked`.
     """
-    check_seed(seed)
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
     if test_size < 1 or max_train < 1:
@@ -479,7 +493,7 @@ def incremental_sweep(
         )
 
     def one_run(r: int) -> SweepRun:
-        run_seed = derive_seed(seed, f"sweep-run-{r}")
+        run_seed = derive_seed(params.seed, f"sweep-run-{r}")
         rng = make_rng(derive_seed(run_seed, SPLIT_SEED_PURPOSE))
         all_ids = [p.id for p in manifest.patients]
         if stratified:
@@ -501,7 +515,8 @@ def incremental_sweep(
         im, cim = build_memories(params_r, manifest.channels)
         test_encodings = [encode_windows(q, im, cim, params_r.ngram_size) for q in q_test]
         accuracies = score_each_change(
-            AssociativeMemory(params_r.dimension, params_r.gate_threshold),
+            params_r.dimension,
+            params_r.gate_threshold,
             ((encode_windows(q, im, cim, params_r.ngram_size), q.label) for q in q_train),
             test_encodings,
             lambda counts, sims: _sweep_accuracy(q_test, counts, sims),

@@ -263,7 +263,6 @@ def cmd_sweep(args) -> int:
         test_size=args.test_size,
         max_train=args.max_train,
         runs=args.runs,
-        seed=args.seed,
         params=params,
         stratified=not args.uniform_test,
         stats_scope=args.stats_scope,

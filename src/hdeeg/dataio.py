@@ -9,8 +9,9 @@ patients, plus one CSV per patient::
 The manifest holds ``name``, ``sample_rate_hz``, ``channels`` (ordered)
 and ``patients`` (objects with ``id``, ``label``, ``path`` relative to the
 root; a path that is empty, absolute or has a ``..`` part is rejected, so
-reads and writes stay inside the root, and so is one naming another
-patient's file).  Patient CSVs start with a header
+reads and writes stay inside the root, and so is one naming the manifest,
+another patient's file, or a directory that either of those needs to be
+a file).  Patient CSVs start with a header
 row of the channel names in manifest order followed by one row of decimal
 microvolt values per sample; a channel name must be nonempty, hold no ','
 or line break and have no surrounding whitespace.  Every file is UTF-8.
@@ -97,7 +98,7 @@ class DatasetManifest:
                 )
         if len(set(ids)) != len(ids):
             raise DataValidationError("duplicate patient ids in manifest")
-        paths = {}
+        manifest, paths = PureWindowsPath(MANIFEST_NAME), {}
         for p in self.patients:
             # Reading and writing join the path to the dataset root.  Windows
             # rules split on both '/' and '\\', see roots and drives, drop '.'
@@ -110,10 +111,26 @@ class DatasetManifest:
                 )
             if "\0" in p.path:  # no file system takes it
                 raise DataValidationError(f"patient {p.id} path {p.path!r} holds a NUL byte")
+            if path == manifest:
+                raise DataValidationError(
+                    f"patient {p.id} path {p.path!r} names the manifest {MANIFEST_NAME!r}"
+                )
             other = paths.setdefault(path, p)
             if other is not p:
                 raise DataValidationError(
                     f"patients {other.id} and {p.id} name one file: {other.path!r} and {p.path!r}"
+                )
+        # A file cannot also be a directory on the way to another file.
+        for path, p in paths.items():
+            for parent in path.parents:
+                if parent == manifest:
+                    other = f"manifest {MANIFEST_NAME!r}"
+                elif parent in paths:
+                    other = f"patient {paths[parent].id} path {paths[parent].path!r}"
+                else:
+                    continue
+                raise DataValidationError(
+                    f"patient {p.id} path {p.path!r} would make a directory of the {other}"
                 )
         # Compared as given, so an integer too large for a float is refused too.
         if not 0 < self.sample_rate_hz <= sys.float_info.max:

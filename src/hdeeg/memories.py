@@ -10,9 +10,9 @@ when they are asked for.
 AssociativeMemory keeps only an integer-sum prototype and a bundle count
 per class.  It takes a patient's (W, D) window matrix whole: ``offer``
 gates its rows in, ``similarities`` scores them as (W, 2) cosines (ADHD,
-CONTROL), and ``score_each_change`` scores a sweep's held-out set after
-each change.  Each casts a window to float64 once: ``offer`` one row at
-a time, the scoring calls in blocks of at most 8 x D.
+CONTROL), and ``score_each_change`` trains a new one, scoring a sweep's
+held-out set after each change.  Each casts a window to float64 once:
+``offer`` one row at a time, the scoring calls in blocks of at most 8 x D.
 """
 
 import math
@@ -329,9 +329,9 @@ class AssociativeMemory:
         return dots / (qn[:, np.newaxis] * pn)
 
 
-def score_each_change(memory: AssociativeMemory, offers, held_out, score) -> list:
-    """Offer each (vectors, label) of ``offers`` to an empty ``memory`` in
-    order and return one score per offer.
+def score_each_change(dimension: int, gate_threshold: float, offers, held_out, score) -> list:
+    """Offer each (vectors, label) of ``offers`` in order to a new, empty
+    AssociativeMemory(dimension, gate_threshold) and return one score per offer.
 
     The first offer and each one that admitted rows (a step) get
     ``score(counts, sims)``, called in order, of the bundle counts and the
@@ -343,8 +343,7 @@ def score_each_change(memory: AssociativeMemory, offers, held_out, score) -> lis
     window once, and a step's exact integer products with its prototype
     replace that prototype's column of the dots.
     """
-    if any(memory._counts):
-        raise ValueError("score_each_change needs an empty memory")
+    memory = AssociativeMemory(dimension, gate_threshold)
     held_out = [np.asarray(vectors) for vectors in held_out]
     for vectors in held_out:
         if vectors.ndim != 2 or vectors.shape[1] != memory.dimension:

@@ -214,8 +214,7 @@ def test_criterion_6_clinical_reproduction():
         test_size=20,
         max_train=7,
         runs=10,
-        seed=0,
-        params=PipelineParams(),
+        params=replace(PipelineParams(), seed=0),
     )
     k7 = sweep.rows[6]
     assert k7.k == 7

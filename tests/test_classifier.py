@@ -577,8 +577,7 @@ def sweep_result(small_dataset, small_params):
         test_size=2,
         max_train=4,
         runs=3,
-        seed=5,
-        params=small_params,
+        params=replace(small_params, seed=5),
     )
 
 
@@ -600,6 +599,15 @@ def test_sweep_shapes(sweep_result, small_dataset):
 def test_sweep_run_seeds_are_derived(sweep_result):
     for r, run in enumerate(sweep_result.runs):
         assert run.run_seed == derive_seed(5, f"sweep-run-{r}")
+
+
+def test_sweep_run_seeds_derive_from_the_params_seed(small_dataset, small_params):
+    # params.seed is the sweep's one root seed.
+    params = replace(small_params, seed=11)
+    result = incremental_sweep(*small_dataset, test_size=2, max_train=1, runs=3, params=params)
+    assert [run.run_seed for run in result.runs] == [
+        derive_seed(params.seed, f"sweep-run-{r}") for r in range(3)
+    ]
 
 
 def test_sweep_rows_aggregate_runs(sweep_result):
@@ -635,7 +643,7 @@ def test_sweep_final_point_matches_batch_training(sweep_result, prepared, small_
     manifest, recordings = generate_synthetic(spec)
     wide = replace(small_params, dimension=256)
     run = incremental_sweep(
-        manifest, recordings, test_size=2, max_train=4, runs=1, seed=5, params=wide
+        manifest, recordings, test_size=2, max_train=4, runs=1, params=replace(wide, seed=5)
     ).runs[0]
     params_r = replace(wide, seed=run.run_seed)
     raw = {r.patient_id: r for r in recordings}
@@ -679,7 +687,7 @@ def test_sweep_every_point_matches_training_on_the_prefix(small_dataset, small_p
     manifest, recordings = small_dataset
     params = small_params if gate is None else replace(small_params, gate_threshold=gate)
     result = incremental_sweep(
-        manifest, recordings, test_size=2, max_train=6, runs=3, seed=5, params=params
+        manifest, recordings, test_size=2, max_train=6, runs=3, params=replace(params, seed=5)
     )
     raw = {r.patient_id: r for r in recordings}
     for run in result.runs:
@@ -700,7 +708,7 @@ def test_sweep_scores_only_after_the_memory_changed(
     runs = []
     real_score_each_change, real_cast_blocks = classifier.score_each_change, memories._cast_blocks
 
-    def recording_score_each_change(memory, offers, held_out, score):
+    def recording_score_each_change(dimension, gate_threshold, offers, held_out, score):
         run = {"held_out": list(held_out), "cast": 0, "counts": []}
         runs.append(run)
 
@@ -708,7 +716,7 @@ def test_sweep_scores_only_after_the_memory_changed(
             run["counts"].append(counts)
             return score(counts, sims)
 
-        return real_score_each_change(memory, offers, held_out, recording_score)
+        return real_score_each_change(dimension, gate_threshold, offers, held_out, recording_score)
 
     def counting_cast_blocks(vectors, rows):
         for start, block in real_cast_blocks(vectors, rows):
@@ -719,7 +727,7 @@ def test_sweep_scores_only_after_the_memory_changed(
     monkeypatch.setattr(classifier, "score_each_change", recording_score_each_change)
     monkeypatch.setattr(memories, "_cast_blocks", counting_cast_blocks)
     result = incremental_sweep(
-        manifest, recordings, test_size=2, max_train=6, runs=3, seed=5, params=params
+        manifest, recordings, test_size=2, max_train=6, runs=3, params=replace(params, seed=5)
     )
     monkeypatch.undo()
     test_rows = len(result.runs[0].test_ids) * (192 // params.ngram_size)
@@ -760,7 +768,7 @@ def test_sweep_that_cannot_score_raises_the_scoring_error(
     # offer), with the message a scoring call gives.
     manifest, recordings = small_dataset
     params = replace(small_params, gate_threshold=2.0)
-    kwargs = dict(test_size=2, max_train=6, runs=1, seed=5, params=params)
+    kwargs = dict(test_size=2, max_train=6, runs=1, params=replace(params, seed=5))
     held_out = {i for run in incremental_sweep(manifest, recordings, **kwargs).runs for i in run.test_ids}
     v = np.resize(np.array([2, -2, 0, 2], dtype=np.int8), params.dimension)
     u = np.roll(v, 1)
@@ -788,7 +796,7 @@ def test_sweep_test_sets_follow_split_policy(sweep_result, small_dataset):
 
 def test_sweep_is_deterministic(small_dataset, small_params):
     manifest, recordings = small_dataset
-    kwargs = dict(test_size=2, max_train=2, runs=2, seed=8, params=small_params)
+    kwargs = dict(test_size=2, max_train=2, runs=2, params=replace(small_params, seed=8))
     a = incremental_sweep(manifest, recordings, **kwargs)
     b = incremental_sweep(manifest, recordings, **kwargs)
     assert a == b
@@ -797,7 +805,7 @@ def test_sweep_is_deterministic(small_dataset, small_params):
 def test_sweep_single_run_has_zero_std(small_dataset, small_params):
     manifest, recordings = small_dataset
     result = incremental_sweep(
-        manifest, recordings, test_size=2, max_train=2, runs=1, seed=3, params=small_params
+        manifest, recordings, test_size=2, max_train=2, runs=1, params=replace(small_params, seed=3)
     )
     assert all(row.std == 0.0 for row in result.rows)
 
@@ -810,8 +818,7 @@ def test_sweep_unstratified(small_dataset, small_params):
         test_size=3,
         max_train=2,
         runs=2,
-        seed=4,
-        params=small_params,
+        params=replace(small_params, seed=4),
         stratified=False,
     )
     for run in result.runs:
@@ -820,7 +827,7 @@ def test_sweep_unstratified(small_dataset, small_params):
 
 def test_sweep_argument_validation(small_dataset, small_params):
     manifest, recordings = small_dataset
-    base = dict(test_size=2, max_train=2, runs=1, seed=0, params=small_params)
+    base = dict(test_size=2, max_train=2, runs=1, params=replace(small_params, seed=0))
     with pytest.raises(ValueError):
         incremental_sweep(manifest, recordings, **{**base, "runs": 0})
     with pytest.raises(ValueError):
@@ -848,6 +855,5 @@ def test_sweep_unbalanced_classes_reject_oversized_test(small_dataset, small_par
             test_size=4,
             max_train=1,
             runs=1,
-            seed=0,
-            params=small_params,
+            params=replace(small_params, seed=0),
         )

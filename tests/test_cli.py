@@ -283,6 +283,31 @@ def test_train_two_patients_naming_one_file_is_data_error(dataset_dir, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["manifest", "nested"])
+def test_train_patient_path_colliding_with_another_file_is_data_error(
+    dataset_dir, tmp_path, capsys, kind
+):
+    # One path names the manifest, or runs through another patient's file.
+    root = tmp_path / "ds"
+    shutil.copytree(dataset_dir, root)
+    manifest = root / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    first, second = doc["patients"][:2]
+    if kind == "manifest":
+        second["path"] = "./MANIFEST.JSON"
+        message = f"patient {second['id']} path './MANIFEST.JSON' names the manifest 'manifest.json'"
+    else:
+        second["path"] = first["path"] + "/b.csv"
+        message = (f"patient {second['id']} path {second['path']!r} would make a directory of the "
+                   f"patient {first['id']} path {first['path']!r}")
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "m.bin"
+    code = main(["train", "--manifest", str(root), "--out", str(out), *COUNTS, *SMALL])
+    assert code == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_nul_byte_in_a_patient_path_is_data_error(dataset_dir, tmp_path, capsys):
     root = tmp_path / "ds"
     shutil.copytree(dataset_dir, root)

@@ -331,6 +331,101 @@ def test_write_dataset_never_gets_two_patients_naming_one_file(tmp_path):
     assert not (tmp_path / "ds").exists()
 
 
+# Each names the manifest under Windows path rules.
+MANIFEST_PATHS = ["manifest.json", "./manifest.json", "MANIFEST.JSON", ".\\Manifest.Json"]
+
+
+@pytest.mark.parametrize("path", MANIFEST_PATHS)
+def test_manifest_rejects_a_path_naming_the_manifest(tmp_path, path):
+    message = f"patient a path {path!r} names the manifest 'manifest.json'"
+    with pytest.raises(DataValidationError, match=re.escape(message)):
+        DatasetManifest("x", 256.0, ("F4",), (PatientEntry("a", Label.ADHD, path),))
+    doc = valid_manifest_doc()
+    doc["patients"][0]["path"] = path
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(DataValidationError, match=re.escape(message)):
+        load_manifest(tmp_path)
+
+
+# (file, path through it): the second needs the first to be a directory.
+THROUGH_A_FILE = [("p/a.csv", "p/a.csv/b.csv"), ("p/a.csv", "P\\A.CSV\\q\\b.csv"),
+                  ("./p", "p/./a.csv"), ("a.csv", "A.csv/b.csv")]
+
+
+@pytest.mark.parametrize("first_is_the_file", [True, False])
+@pytest.mark.parametrize("file, through", THROUGH_A_FILE)
+def test_manifest_rejects_a_file_another_path_needs_as_a_directory(
+    tmp_path, file, through, first_is_the_file
+):
+    # Either order is refused, naming both patients.
+    ids = ("a", "b") if first_is_the_file else ("b", "a")
+    patients = sorted([PatientEntry(ids[0], Label.ADHD, file),
+                       PatientEntry(ids[1], Label.CONTROL, through)], key=lambda p: p.id)
+    message = (f"patient {ids[1]} path {through!r} would make a directory of the "
+               f"patient {ids[0]} path {file!r}")
+    with pytest.raises(DataValidationError, match=re.escape(message)):
+        DatasetManifest("x", 256.0, ("F4",), tuple(patients))
+    doc = valid_manifest_doc()
+    doc["patients"] = [{"id": p.id, "label": str(p.label), "path": p.path} for p in patients]
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(DataValidationError, match=re.escape(message)):
+        load_manifest(tmp_path)
+
+
+@pytest.mark.parametrize("path", ["manifest.json/a.csv", "Manifest.JSON\\p\\a.csv"])
+def test_manifest_rejects_a_path_through_the_manifest(path):
+    message = f"patient a path {path!r} would make a directory of the manifest 'manifest.json'"
+    with pytest.raises(DataValidationError, match=re.escape(message)):
+        DatasetManifest("x", 256.0, ("F4",), (PatientEntry("a", Label.ADHD, path),))
+
+
+@pytest.mark.parametrize("path, message", [
+    ("MANIFEST.JSON", "names the manifest"),
+    ("patients/a0.csv/a1.csv", "would make a directory of the patient a0"),
+])
+def test_write_dataset_never_gets_a_path_that_collides_with_another_file(tmp_path, path, message):
+    # The manifest refuses it when it is built, so nothing is written: not
+    # a patient's samples over the manifest, nor half a dataset.
+    m = tiny_manifest()
+    moved = replace(m.patients[1], path=path)
+    with pytest.raises(DataValidationError, match=message):
+        write_dataset(tmp_path / "ds", replace(m, patients=(m.patients[0], moved, *m.patients[2:])),
+                      tiny_recordings(m))
+    assert not (tmp_path / "ds").exists()
+
+
+@st.composite
+def patient_path_sets(draw):
+    """1-3 patient paths of 1-3 parts, joined by '/' or '\\', from parts
+    that name the manifest, differ only in case or are '.'; half the sets
+    add a path below the first one or below one of its directories."""
+    part = st.tuples(st.sampled_from(["/", "\\"]), st.sampled_from([
+        "manifest.json", "MANIFEST.JSON", ".", "p", "P", "a.csv", "A.CSV", "b", "q", "c.csv", "d.csv"]))
+    paths = [draw(st.lists(part, min_size=1, max_size=3)) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        below = paths[0][: draw(st.integers(1, len(paths[0])))]
+        paths.append(below + draw(st.lists(part, min_size=1, max_size=2)))
+    return ["".join(sep + name for sep, name in parts)[1:] for parts in paths]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(paths=patient_path_sets())
+def test_every_manifest_accepted_writes_and_loads_back(tmp_path_factory, paths):
+    patients = tuple(PatientEntry(f"p{i}", Label.ADHD, path) for i, path in enumerate(paths))
+    try:
+        manifest = DatasetManifest("x", 256.0, ("F4",), patients)
+    except DataValidationError:
+        return
+    recordings = tiny_recordings(manifest, samples=2)
+    root = tmp_path_factory.mktemp("accepted")
+    write_dataset(root, manifest, recordings)
+    loaded_manifest, loaded = load_dataset(root)
+    assert loaded_manifest == manifest
+    assert [(r.patient_id, r.samples.tobytes()) for r in loaded] == [
+        (r.patient_id, r.samples.tobytes()) for r in recordings
+    ]
+
+
 @pytest.mark.parametrize("path", BAD_PATHS)
 def test_load_manifest_rejects_paths_outside_the_root(tmp_path, path):
     doc = valid_manifest_doc()

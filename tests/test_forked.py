@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -202,7 +203,7 @@ def test_write_dataset_forked_matches_serial(monkeypatch, small_dataset, dataset
 def test_sweep_forked_matches_serial(monkeypatch, small_dataset, small_params, runs):
     def sweep():
         return incremental_sweep(
-            *small_dataset, test_size=2, max_train=4, runs=runs, seed=5, params=small_params
+            *small_dataset, test_size=2, max_train=4, runs=runs, params=replace(small_params, seed=5)
         )
 
     results = []

@@ -717,11 +717,11 @@ def test_score_each_change_matches_similarities_after_every_step(data):
     scored = []
     record = lambda counts, sims: scored.append(result(counts, sims)) or scored[-1]
     if error is None:
-        assert score_each_change(AssociativeMemory(dim, gate), offers, held_out, record) == results
+        assert score_each_change(dim, gate, offers, held_out, record) == results
         assert len(scored) == len(steps)
     else:
         with pytest.raises(UndefinedSimilarityError) as raised:
-            score_each_change(AssociativeMemory(dim, gate), offers, held_out, record)
+            score_each_change(dim, gate, offers, held_out, record)
         assert str(raised.value) == error
     # score is called once per step, in order, and for no other offer.
     assert scored == steps[: len(scored)]
@@ -733,20 +733,13 @@ def test_score_each_change_scores_the_first_offer_even_when_it_admits_nothing():
     dim, scored = 4, []
     record = lambda counts, sims: scored.append(counts) or len(scored)
     offers = [(np.zeros((0, dim), dtype=np.int8), Label.ADHD), (np.ones((1, dim), dtype=np.int8), Label.ADHD)]
-    assert score_each_change(AssociativeMemory(dim), offers, [np.ones((1, dim))], record) == [1, 2]
+    assert score_each_change(dim, 0.5, offers, [np.ones((1, dim))], record) == [1, 2]
     assert scored == [(0, 0), (1, 0)]
-
-
-def test_score_each_change_needs_an_empty_memory():
-    # Its running dots start at zero, which only an empty memory's are.
-    am = AssociativeMemory.from_state([1, 0], [0, 1], {Label.ADHD: 1, Label.CONTROL: 0}, 0.5)
-    with pytest.raises(ValueError, match="empty memory"):
-        score_each_change(am, [], [np.ones((1, 2))], lambda counts, sims: None)
 
 
 def test_score_each_change_refuses_held_out_windows_of_another_width():
     with pytest.raises(ValueError, match=r"expected shape \(W, 4\), got \(1, 5\)"):
-        score_each_change(AssociativeMemory(4), [], [np.ones((1, 5))], lambda counts, sims: None)
+        score_each_change(4, 0.5, [], [np.ones((1, 5))], lambda counts, sims: None)
 
 
 @pytest.mark.parametrize("w", [1, _SCORE_ROWS + 1, 2 * _SCORE_ROWS + 1, 2 * _SCORE_ROWS + 3])

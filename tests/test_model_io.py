@@ -450,6 +450,23 @@ def test_params_load_model_refuses_fail_at_replace(trained, change, match):
         replace(trained[0].params, **change)
 
 
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"dimension": 1000}, r"params say dimension 1000, the memories have \[2000, 2000, 2000\]"),
+        ({"level_count": 60}, "params say 60 levels, the level memory has 50"),
+        ({"gate_threshold": 0.3}, "params say gate threshold 0.3, the memory has 0.5"),
+    ],
+    ids=["dimension", "level_count", "gate_threshold"],
+)
+def test_model_params_must_agree_with_its_memories(trained, change, match):
+    # Saved, such a model would be refused for a truncated array or
+    # trailing bytes, or load with another gate.
+    model = trained[0]
+    with pytest.raises(ValueError, match=match):
+        replace(model, params=replace(model.params, **change))
+
+
 @pytest.fixture(scope="module")
 def snapshot(trained, tmp_path_factory):
     """The fixture model's snapshot bytes and a directory to write variants in."""

@@ -14,6 +14,7 @@ from hdeeg import dataio
 SRC = Path(hdeeg.__file__).resolve().parents[1]
 SCRIPTS = SRC.parent / "scripts"
 QUARTILES = {"median_ms", "q1_ms", "q3_ms"}
+MACHINE = {"python", "numpy", "platform", "usable_cpus"}
 # Seed 1's admitted windows and prototype digest per gate: the gate's bytes.
 GATED = {
     "gate 0.5": ({"ADHD": 12, "CONTROL": 11},
@@ -36,6 +37,7 @@ def test_gate_timing_prints_admitted_counts_and_digests():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert (result["patients"], result["windows"], result["repeats"]) == (79, 2212, 2)
+    assert set(result["machine"]) == MACHINE
     for gate, (admitted, sha256) in GATED.items():
         assert QUARTILES <= set(result[gate])
         assert (result[gate]["admitted"], result[gate]["sha256"]) == (admitted, sha256)
@@ -46,6 +48,7 @@ def test_csv_block_timing_prints_quartiles_per_block():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["default_block_values"] == dataio._CSV_BLOCK_VALUES
+    assert set(result["machine"]) == MACHINE
     for channels in ("2 channels", "19 channels"):
         blocks = result[channels]["blocks"]
         assert set(blocks) == {"1024 rows", "4096 values", "8192 values", "16384 values"}
